@@ -26,7 +26,8 @@ PREAMBLE = """\
 ## Installation & running the examples
 
 The package is pure Python with no third-party runtime dependencies.
-Install it editable for development (`pip install -e .`), or skip
+Install it editable for development (`pip install -e ".[test]"` adds
+the test tools and networkx for the graph cross-check), or skip
 installation entirely: every `examples/*.py` script bootstraps `src/`
 onto `sys.path` relative to its own location, so
 `python examples/quickstart.py` works from a fresh clone, from any

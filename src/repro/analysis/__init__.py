@@ -27,19 +27,6 @@ from .diagnostics import (
     merge_reports,
     severity_at_least,
 )
-from .concurrency import (
-    CONC_RULES,
-    analyze_paths,
-    lint_code_main,
-    run_concurrency_rules,
-)
-from .kernel_lint import (
-    HOT_DIRS,
-    KERNEL_RULES,
-    kernel_lint_main,
-    lint_paths,
-    lint_source,
-)
 from .lint import (
     FEASIBILITY_RULES,
     lint_bench_file,
@@ -49,6 +36,20 @@ from .lint import (
 )
 from .precheck import SCCBudgetBound, budget_prechecks, scc_cut_lower_bound
 from .rules import Rule, RuleContext, rule, rule_catalog
+
+#: The source-tree linters, imported on first access: the compile path
+#: only runs the circuit linter.
+_LAZY = {
+    "HOT_DIRS": "kernel_lint",
+    "KERNEL_RULES": "kernel_lint",
+    "kernel_lint_main": "kernel_lint",
+    "lint_paths": "kernel_lint",
+    "lint_source": "kernel_lint",
+    "CONC_RULES": "concurrency",
+    "analyze_paths": "concurrency",
+    "run_concurrency_rules": "concurrency",
+    "lint_code_main": "concurrency",
+}
 
 __all__ = [
     "SEVERITIES",
@@ -78,3 +79,11 @@ __all__ = [
     "run_concurrency_rules",
     "lint_code_main",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

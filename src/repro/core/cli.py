@@ -107,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retiming-solver",
-        choices=["auto", "jacobi", "spfa", "reference", "mcf"],
+        choices=["auto", "reference", "mcf"],
         default="auto",
-        help="cut-retiming backend: auto/jacobi/spfa/reference are "
-        "bit-identical (vectorized, queue-based, or dense reference "
-        "rounds); mcf is the experimental min-cost-flow formulation",
+        help="cut-retiming backend: auto/reference are bit-identical "
+        "(compiled or dense reference rounds); mcf is the experimental "
+        "min-cost-flow formulation",
     )
     parser.add_argument(
         "--profile",

@@ -276,9 +276,8 @@ def compile_circuit(
             :func:`repro.cbit.insert.insert_test_hardware`.
         retiming_solver: feasibility backend for the cut-retiming solve
             (see :func:`repro.retiming.solve.solve_cut_retiming`):
-            ``"auto"``/``"jacobi"``/``"spfa"``/``"reference"`` are
-            bit-identical; ``"mcf"`` is the experimental min-cost-flow
-            backend.
+            ``"auto"``/``"reference"`` are bit-identical; ``"mcf"`` is
+            the experimental min-cost-flow backend.
 
     Example:
         >>> from repro import load_circuit, MercedConfig

@@ -3,7 +3,7 @@
 The repo carries several pairs of implementations that claim agreement:
 
 * compiled CSR kernels (Tarjan, ``Make_Set``, ``make_group``,
-  ``assign_cbit``, SPFA/Jacobi retiming) vs their ``*_reference``
+  ``assign_cbit``, SPFA retiming) vs their ``*_reference``
   twins — **bit-identical** by contract;
 * the greedy drop-loop retiming solver vs the experimental min-cost-flow
   backend — *not* bit-identical, but **cut-set equivalent**: same

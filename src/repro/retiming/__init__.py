@@ -13,11 +13,16 @@ from .solve import (
     solve_cut_retiming,
     solve_cut_retiming_reference,
 )
-from .mincost import solve_cut_retiming_mcf
-from .verify import verify_drop_set
 from .apply import RetimedCircuit, apply_retiming, trace_to_driver
 from .legality import connection_deltas, infer_retiming, verify_retiming
-from .initial_state import check_equivalence, find_equivalent_initial_state
+
+#: Exports the compile path never uses, imported on first access.
+_LAZY = {
+    "solve_cut_retiming_mcf": "mincost",
+    "verify_drop_set": "verify",
+    "check_equivalence": "initial_state",
+    "find_equivalent_initial_state": "initial_state",
+}
 
 __all__ = [
     "Retiming",
@@ -40,3 +45,11 @@ __all__ = [
     "check_equivalence",
     "find_equivalent_initial_state",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

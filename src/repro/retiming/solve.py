@@ -25,14 +25,12 @@ once and treats the round loop as an *incremental* sequence of solves:
   On the BENCH circuits almost every round is certified this way, which
   removes the dominant cost of the old loop (a full budget-tripping
   SPFA per infeasible round).
-* **Vectorized relaxation sweeps.**  When feasibility is genuinely in
-  question the round is solved by numpy Jacobi sweeps over the interned
-  ``con_u``/``con_v`` arrays (:func:`_jacobi_feasible`); initialising
-  every variable to 0 makes the fixed point the shortest-path tree from
-  an implicit super-source, which is unique — so the feasible
-  assignment is bit-identical to :func:`bellman_ford_constraints`
-  regardless of relaxation order.  Without numpy the queue-based
-  :func:`_spfa_feasible` is used instead (same fixed point).
+* **Queue-based relaxation.**  When feasibility is genuinely in
+  question the round is solved by :func:`_spfa_feasible` over the
+  interned constraint CSR; initialising every variable to 0 makes the
+  fixed point the shortest-path tree from an implicit super-source,
+  which is unique — so the feasible assignment is bit-identical to
+  :func:`bellman_ford_constraints` regardless of relaxation order.
 * **Canonical replay with in-history fast-forward.**  Infeasible (or
   capped) rounds are resolved by :func:`_bf_rounds`, an interned replay
   of the reference Bellman–Ford that fires the same updates in the same
@@ -58,11 +56,6 @@ from ..graphs.digraph import CircuitGraph
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..perf import count as perf_count
 from .model import Retiming, retimed_weight
-
-try:  # numpy accelerates the feasibility sweeps; everything works without
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via the spfa solver path
-    _np = None
 
 __all__ = [
     "RetimingSolution",
@@ -194,63 +187,6 @@ def _spfa_feasible(
                     inq[u] = 1
                     queue.append(u)
     return dist, relaxations
-
-
-def _jacobi_prep(con_u: List[int]):
-    """Precompute the segmented-minimum layout for :func:`_jacobi_feasible`.
-
-    Sorts constraints by target node once per solve; the per-round sweep
-    then reduces each target's candidate bounds with one
-    ``minimum.reduceat``.  Returns ``None`` when numpy is unavailable or
-    there are no constraints.
-    """
-    if _np is None or not con_u:
-        return None
-    cu = _np.asarray(con_u, dtype=_np.int64)
-    order = _np.argsort(cu, kind="stable")
-    cu_ord = cu[order]
-    seg_nodes, seg_starts = _np.unique(cu_ord, return_index=True)
-    return order, seg_nodes, seg_starts
-
-
-def _jacobi_feasible(
-    n: int,
-    con_v: List[int],
-    cost: List[int],
-    prep,
-    max_sweeps: int,
-) -> Tuple[Optional[List[int]], int]:
-    """Vectorized Jacobi sweeps over the interned constraint arrays.
-
-    Each sweep computes every constraint's bound ``dist[v] + c`` in one
-    shot and lowers each target to the minimum of its incoming bounds
-    (``minimum.reduceat`` over the target-sorted layout from
-    :func:`_jacobi_prep`).  A sweep with no change is a fixed point —
-    all constraints satisfied — and the all-zero-start fixed point of a
-    difference-constraint system is unique, so the result is
-    bit-identical to :func:`bellman_ford_constraints` (and to
-    :func:`_spfa_feasible`) on feasible systems.  Feasible systems
-    converge within ``n`` sweeps (shortest paths have < ``n`` hops);
-    returns ``(None, relaxations)`` when ``max_sweeps`` is exhausted —
-    the caller resolves those rounds exactly with :func:`_bf_rounds`, so
-    a tight cap costs time on deep feasible systems, never correctness.
-    """
-    np = _np
-    order, seg_nodes, seg_starts = prep
-    cv_ord = np.asarray(con_v, dtype=np.int64)[order]
-    cost_ord = np.asarray(cost, dtype=np.int64)[order]
-    dist = np.zeros(n, dtype=np.int64)
-    relaxations = 0
-    for _ in range(max_sweeps):
-        bounds = dist[cv_ord] + cost_ord
-        mins = np.minimum.reduceat(bounds, seg_starts)
-        old = dist[seg_nodes]
-        new = np.minimum(old, mins)
-        if np.array_equal(new, old):
-            return [int(x) for x in dist], relaxations
-        relaxations += int(np.count_nonzero(new < old))
-        dist[seg_nodes] = new
-    return None, relaxations
 
 
 def _bf_rounds(
@@ -553,9 +489,7 @@ def solve_cut_retiming(
             runs the reference dense Bellman–Ford every round.  Results
             (lags, covered/dropped cuts, iteration count) are
             bit-identical.
-        solver: feasibility backend for the compiled path.  ``"auto"``
-            picks the vectorized Jacobi sweeps when numpy is available
-            and SPFA otherwise; ``"jacobi"``/``"spfa"`` force one;
+        solver: ``"auto"`` (default) runs the compiled path above;
             ``"reference"`` is an alias for ``use_compiled=False``;
             ``"mcf"`` routes to the experimental min-cost-flow backend
             (:func:`repro.retiming.mincost.solve_cut_retiming_mcf`),
@@ -572,7 +506,7 @@ def solve_cut_retiming(
     """
     from ..graphs.build import is_po_node
 
-    if solver not in ("auto", "jacobi", "spfa", "reference", "mcf"):
+    if solver not in ("auto", "reference", "mcf"):
         raise ValueError(f"unknown retiming solver {solver!r}")
     if solver == "mcf":
         from .mincost import solve_cut_retiming_mcf
@@ -586,10 +520,6 @@ def solve_cut_retiming(
         )
     if solver == "reference":
         use_compiled = False
-    if solver == "jacobi" and _np is None:  # pragma: no cover - env guard
-        raise RetimingError(
-            "solver='jacobi' requires numpy; use 'auto' or 'spfa'"
-        )
 
     if edges is None:
         edges = register_weighted_edges(graph)
@@ -645,10 +575,6 @@ def solve_cut_retiming(
     # incremental cost array: rebuilt never, bumped by 1 per dropped edge
     cost = [e.weight - required.get(i, 0) for i, e in enumerate(edges)]
     cost += io_costs
-    jprep = None
-    if use_compiled and solver in ("auto", "jacobi"):
-        jprep = _jacobi_prep(con_u)
-    jacobi_cap = min(n_vars + 1, 257)
 
     dropped: Set[str] = set()
     iterations = 0
@@ -669,14 +595,9 @@ def solve_cut_retiming(
             if skip_feasible:
                 cert_skips += 1
             else:
-                if jprep is not None:
-                    dist, relaxations = _jacobi_feasible(
-                        n_vars, con_v, cost, jprep, jacobi_cap
-                    )
-                else:
-                    dist, relaxations = _spfa_feasible(
-                        n_vars, adj_start, adj_cons, con_u, cost
-                    )
+                dist, relaxations = _spfa_feasible(
+                    n_vars, adj_start, adj_cons, con_u, cost
+                )
                 total_relaxations += relaxations
                 if dist is not None:
                     rho = dict(zip(nodes, dist))

@@ -35,9 +35,20 @@ byte equality.
 """
 
 from .client import ServiceClient
-from .fleet import CompileFleet, FleetThread
-from .router import FleetRouter, HashRing, RouterConfig
-from .server import CompileService, ServiceConfig, ServiceMetrics, ServiceThread
+
+#: The asyncio side (server, router, fleet), imported on first access so
+#: a process that only submits work never loads it.
+_LAZY = {
+    "CompileService": "server",
+    "ServiceConfig": "server",
+    "ServiceMetrics": "server",
+    "ServiceThread": "server",
+    "CompileFleet": "fleet",
+    "FleetThread": "fleet",
+    "FleetRouter": "router",
+    "HashRing": "router",
+    "RouterConfig": "router",
+}
 
 __all__ = [
     "ServiceClient",
@@ -51,3 +62,11 @@ __all__ = [
     "ServiceMetrics",
     "ServiceThread",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

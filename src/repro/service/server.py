@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -90,6 +91,8 @@ __all__ = [
     "parse_submission",
     "SUBMISSION_MODES",
 ]
+
+_log = logging.getLogger("repro.service")
 
 #: MercedConfig field names accepted at a submission's top level.
 _CONFIG_KEYS = tuple(f.name for f in fields(MercedConfig))
@@ -472,6 +475,7 @@ class CompileService:
     async def _handle_conn(self, reader, writer) -> None:
         status, payload, extra = 500, {"ok": False, "error": "internal"}, None
         respond = True
+        request = None
         try:
             request = await read_request(reader)
             if request is None:
@@ -498,6 +502,11 @@ class CompileService:
                 None,
             )
         except Exception as exc:  # never let a request kill the loop
+            _log.exception(
+                "500 on %s %s",
+                getattr(request, "method", "-"),
+                getattr(request, "path", "-"),
+            )
             status, payload, extra = (
                 500,
                 {

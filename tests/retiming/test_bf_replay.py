@@ -4,8 +4,8 @@ The kernel-equivalence suite already proves the compiled pipeline ends
 bit-identical to the reference; these properties pin down the layer that
 makes that possible: :func:`_bf_rounds` must reproduce the reference's
 *canonical negative cycle* — the thing that decides which cut gets
-dropped each round — and the feasibility kernels must land on the same
-unique fixed point.  Random systems cover the dense regime; the
+dropped each round — and the SPFA feasibility kernel must land on the
+same unique fixed point.  Random systems cover the dense regime; the
 structured generators force systems long enough that the replay's
 periodic fast-forward (history-ring verification + analytic jump)
 actually engages, so the jump path itself is property-tested instead of
@@ -17,11 +17,8 @@ from hypothesis import strategies as st
 
 from repro.retiming.solve import (
     _bf_rounds,
-    _jacobi_feasible,
-    _jacobi_prep,
     _spfa_feasible,
     bellman_ford_constraints,
-    _np,
 )
 
 
@@ -85,9 +82,8 @@ def test_replay_matches_reference_feasible_and_infeasible(system):
 @given(constraint_systems())
 @settings(max_examples=200, deadline=None)
 def test_feasibility_kernels_match_reference_fixed_point(system):
-    """SPFA (and Jacobi, when numpy exists) land on the unique fixed
-    point whenever they claim feasibility, and never claim it on an
-    infeasible system."""
+    """SPFA lands on the unique fixed point whenever it claims
+    feasibility, and never claims it on an infeasible system."""
     n, cons = system
     ref_dist, _ = _reference(n, cons)
     con_u, con_v, cost = _interned(cons)
@@ -96,15 +92,7 @@ def test_feasibility_kernels_match_reference_fixed_point(system):
     if ref_dist is None:
         assert spfa_dist is None
     else:
-        expected = [ref_dist[f"n{i}"] for i in range(n)]
-        assert spfa_dist == expected
-    if _np is not None:
-        prep = _jacobi_prep(con_u)
-        jac_dist, _relax = _jacobi_feasible(n, con_v, cost, prep, n + 1)
-        if ref_dist is None:
-            assert jac_dist is None
-        else:
-            assert jac_dist == expected
+        assert spfa_dist == [ref_dist[f"n{i}"] for i in range(n)]
 
 
 @st.composite

@@ -14,6 +14,7 @@ drain, and bit-identical payloads versus the inline pipeline.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -142,6 +143,25 @@ def test_unknown_route_and_bad_method(boot):
     assert status == 404 and document["ok"] is False
     status, document, _ = client._request("DELETE", "/metrics")
     assert status == 405
+
+
+def test_unhandled_error_is_500_and_logs_traceback(boot, caplog):
+    handle, client = boot()
+
+    async def explode(request):
+        raise RuntimeError("dispatch exploded")
+
+    handle.service._dispatch = explode
+    caplog.set_level(logging.ERROR, logger="repro.service")
+    status, document, _ = client._request("GET", "/healthz")
+    assert status == 500
+    assert document["error_type"] == "RuntimeError"
+    assert document["error"] == "dispatch exploded"
+    records = [r for r in caplog.records if r.name == "repro.service"]
+    assert len(records) == 1
+    assert "GET /healthz" in records[0].getMessage()
+    assert records[0].exc_info is not None
+    assert "dispatch exploded" in records[0].exc_text
 
 
 # ----------------------------------------------------------------------
