@@ -28,15 +28,11 @@ than 10%, or a subsampled (stride ≠ 1) run would be compared against a
 full-cut-set baseline:
     PYTHONPATH=src python scripts/bench_trend.py --check --circuits s641
 
-``--check`` also statically validates two committed sibling baselines
-without re-running them, so CI stays fast: the fleet benchmark
-(``BENCH_service_fleet.json``, written by
-``benchmarks/bench_service_fleet.py`` — the ≥3× 4-shard/1-shard
-throughput ratio, per-shard hit-rate parity, and byte-identity flags
-must hold) and the refinement-tier benchmark (``BENCH_optimize.json``,
-written by ``scripts/bench_optimize.py`` — every entry must keep
-``sigma_after ≤ sigma_before`` and enough entries must show a strict
-anneal Σ reduction).
+``--check`` also statically validates the committed refinement-tier
+baseline without re-running it, so CI stays fast
+(``BENCH_optimize.json``, written by ``scripts/bench_optimize.py`` —
+every entry must keep ``sigma_after ≤ sigma_before`` and enough entries
+must show a strict anneal Σ reduction).
 
 Opt-in axes: heavyweight circuits that should not run on every CI pass
 (e.g. ``corpus-200k``) are excluded from the default set but can be
@@ -70,7 +66,6 @@ from repro.perf import profiled, stage  # noqa: E402
 from repro.retiming.solve import solve_cut_retiming  # noqa: E402
 
 OUT = REPO / "BENCH_partition.json"
-FLEET_OUT = REPO / "BENCH_service_fleet.json"
 OPTIMIZE_OUT = REPO / "BENCH_optimize.json"
 
 #: Default bench set (matches benchmarks/conftest.py SMALL + MEDIUM),
@@ -202,42 +197,6 @@ def check_circuit(name: str, result: dict, baseline: dict) -> list:
     return problems
 
 
-def check_fleet_baseline(path: Path) -> list:
-    """Statically validate the committed fleet-benchmark baseline.
-
-    ``benchmarks/bench_service_fleet.py`` boots real multi-process
-    fleets and replays hundreds of requests — far too heavy for every
-    CI pass — so the guard only asserts that the *committed* result
-    still claims what the serve fleet promises: ≥3× 4-shard/1-shard
-    throughput, per-shard hot hit rate no worse than single-process,
-    and byte-identical responses across shard counts.
-    """
-    if not path.exists():
-        return [f"fleet: no committed baseline at {path}"]
-    try:
-        data = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"fleet: {path} is not valid JSON ({exc})"]
-    problems = []
-    scaling = data.get("scaling") or {}
-    ratio = scaling.get("throughput_x4_over_x1")
-    if not scaling.get("meets_3x") or not ratio or ratio < 3.0:
-        problems.append(
-            f"fleet: 4-shard/1-shard throughput {ratio} fails the >=3x bar"
-        )
-    if not scaling.get("hit_rate_parity"):
-        problems.append(
-            "fleet: per-shard hot hit rate fell below the "
-            "single-process rate"
-        )
-    identity = data.get("byte_identity") or {}
-    if not identity.get("identical"):
-        problems.append(
-            "fleet: responses are not byte-identical across shard counts"
-        )
-    return problems
-
-
 def check_optimize_baseline(path: Path) -> list:
     """Statically validate the committed ``--optimize`` baseline.
 
@@ -302,7 +261,7 @@ def main(argv=None) -> None:
         action="store_true",
         help="compare against the committed baseline instead of writing; "
         "exit 2 on dropped_cuts / bf_relaxations / stride regressions or "
-        "a failing fleet baseline (BENCH_service_fleet.json)",
+        "a failing optimize baseline (BENCH_optimize.json)",
     )
     args = parser.parse_args(argv)
     args.circuits = list(args.circuits) + list(args.include)
@@ -337,7 +296,6 @@ def main(argv=None) -> None:
         if baseline is not None:
             problems.extend(check_circuit(name, result, baseline))
     if args.check:
-        problems.extend(check_fleet_baseline(FLEET_OUT))
         problems.extend(check_optimize_baseline(OPTIMIZE_OUT))
         if problems:
             for p in problems:

@@ -1,8 +1,8 @@
 """Concurrency static analysis: CFG/dataflow engine + CONC rules.
 
-The compile fabric is genuinely concurrent — an asyncio router over
-shard processes, thread-pool executors with an async-exception
-watchdog, signal-driven drain, lock-guarded caches — and its hazard
+The compile service is genuinely concurrent — an asyncio event loop,
+thread-pool executors with an async-exception watchdog, multiprocess
+sweep workers, signal-driven drain, lock-guarded caches — and its hazard
 classes (blocking the event loop, unguarded shared mutation,
 lock-order inversion, unsafe signal handlers, fork-after-threads) are
 invisible to tests that happen not to lose the race.  This package

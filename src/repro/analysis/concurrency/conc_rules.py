@@ -1,4 +1,4 @@
-"""The CONC rule family: concurrency hazards over the compile fabric.
+"""The CONC rule family: concurrency hazards over the compile service.
 
 Each check consumes the :class:`~repro.analysis.concurrency.summaries.
 ProjectIndex` (CFGs, locks-held facts, call-graph blocking summaries)

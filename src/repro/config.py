@@ -7,7 +7,8 @@ bound ``l_k`` defaults to 16 (CBIT type d4).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from .errors import ConfigError
@@ -73,6 +74,12 @@ class MercedConfig:
     optimize_budget: float = 5.0
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below (and inf the lower
+        # bounds), so non-finite numbers are rejected up front.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.lk < 1:
             raise ConfigError(f"lk must be positive, got {self.lk}")
         if self.delta <= 0:

@@ -14,8 +14,8 @@ bytes keyed by the same content hash, so a repeat-hot circuit is served
 straight from memory with no disk I/O and no JSON re-serialization.
 Entries and total payload bytes are both bounded; eviction is
 strict-LRU and every hit/miss/eviction is counted
-(:class:`HotCacheStats`), which is what the fleet benchmark's
-cache-hit-vs-shard-count curves are built from.
+(:class:`HotCacheStats`), which the service reports under ``hot_cache``
+in ``/metrics``.
 
 Only *successful* payloads are cached in either tier: failures must
 re-execute on the next run (the failure may have been transient, and

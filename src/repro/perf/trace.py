@@ -195,12 +195,8 @@ class LatencyHistogram:
     linearly inside the winning bucket, so they are estimates with
     bounded relative error (one ``growth`` step), not exact order
     statistics — the right trade for an always-on service counter.
-
-    Histograms with identical geometry **merge** by bucket-wise
-    addition; the fleet router uses this to aggregate per-shard
-    ``/metrics`` histograms into one fleet-wide p50/p99.  Callers
-    provide thread-safety (the service metrics lock); the class itself
-    is plain counters.
+    Callers provide thread-safety (the service metrics lock); the class
+    itself is plain counters.
 
     Example:
         >>> h = LatencyHistogram()
@@ -267,31 +263,6 @@ class LatencyHistogram:
                 return lower + (upper - lower) * fraction
             seen += n
         return self.max_seconds
-
-    def merge(self, data: Dict[str, object]) -> None:
-        """Fold another histogram's :meth:`as_dict` into this one.
-
-        Raises ``ValueError`` on mismatched geometry — merging buckets
-        measured on different scales would silently corrupt percentiles.
-        """
-        geometry = data.get("geometry", {})
-        mine = (self.floor_s, self.growth, self.n_buckets)
-        theirs = (
-            geometry.get("floor_s"),
-            geometry.get("growth"),
-            geometry.get("n_buckets"),
-        )
-        if mine != theirs:
-            raise ValueError(
-                f"histogram geometry mismatch: {mine} != {theirs}"
-            )
-        for index, n in enumerate(data.get("buckets", [])):
-            self.buckets[index] += int(n)
-        self.count += int(data.get("count", 0))
-        self.sum_seconds += float(data.get("sum_seconds", 0.0))
-        self.max_seconds = max(
-            self.max_seconds, float(data.get("max_seconds", 0.0))
-        )
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot: summary percentiles + raw buckets."""

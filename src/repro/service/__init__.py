@@ -1,29 +1,20 @@
 """The ``merced serve`` compile service: HTTP/JSON over the sweep farm.
 
-The ROADMAP's north star is a system that serves traffic from many
-clients, and the sweep farm (:mod:`repro.exec`) already hardened
-per-point execution — this package puts a long-running, asyncio
-front-end on top of it so work can arrive from *outside* the process:
+The sweep farm (:mod:`repro.exec`) already hardened per-point
+execution — this package puts a long-running, asyncio front-end on top
+of it so work can arrive from *outside* the process:
 
 * :mod:`repro.service.protocol` — a minimal stdlib HTTP/1.1 codec
   (JSON in, JSON out, ``Content-Length`` framing, hard size limits);
 * :mod:`repro.service.server` — :class:`CompileService`: request
   coalescing keyed by :func:`~repro.exec.hashing.point_key`, a bounded
   admission queue with ``429`` backpressure, per-request deadlines
-  enforced off the main thread by :mod:`repro.exec.watchdog`, graceful
-  SIGTERM drain, and a ``/metrics`` endpoint;
+  enforced off the main thread by :mod:`repro.exec.watchdog`, an
+  in-memory hot tier of pre-serialized payloads above the disk cache,
+  graceful SIGTERM drain, and a ``/metrics`` endpoint;
 * :mod:`repro.service.client` — :class:`ServiceClient`, the thin
-  blocking client the ``merced submit`` CLI, the tests, and the fleet
-  all share, with ``Retry-After``-honoring busy retries;
-* :mod:`repro.service.router` — :class:`FleetRouter`: a consistent-hash
-  front router that keys on the same
-  :func:`~repro.exec.hashing.point_key` the workers coalesce by, with
-  graduated load-shedding (full → cache_only → lint_only → 429) and
-  fleet-wide ``/metrics`` aggregation;
-* :mod:`repro.service.fleet` — :class:`CompileFleet` /
-  :class:`FleetThread`: N worker shard processes (each with its own
-  in-memory hot tier and cache slice) behind one router — the
-  ``merced serve --shards N`` deployment;
+  blocking client the ``merced submit`` CLI and the tests share, with
+  ``Retry-After``-honoring busy retries;
 * :mod:`repro.service.cli` — the ``merced serve`` / ``merced submit``
   subcommand entry points.
 
@@ -36,28 +27,18 @@ byte equality.
 
 from .client import ServiceClient
 
-#: The asyncio side (server, router, fleet), imported on first access so
-#: a process that only submits work never loads it.
+#: The asyncio server, imported on first access so a process that only
+#: submits work never loads it.
 _LAZY = {
     "CompileService": "server",
     "ServiceConfig": "server",
     "ServiceMetrics": "server",
     "ServiceThread": "server",
-    "CompileFleet": "fleet",
-    "FleetThread": "fleet",
-    "FleetRouter": "router",
-    "HashRing": "router",
-    "RouterConfig": "router",
 }
 
 __all__ = [
     "ServiceClient",
     "CompileService",
-    "CompileFleet",
-    "FleetRouter",
-    "FleetThread",
-    "HashRing",
-    "RouterConfig",
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceThread",

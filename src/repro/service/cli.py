@@ -2,19 +2,14 @@
 
 ``serve`` runs a :class:`~repro.service.server.CompileService` in the
 foreground until SIGTERM/SIGINT, then drains gracefully (finish
-in-flight, reject new, flush cache temp files).  With ``--shards N``
-(N > 1) it instead boots a sharded fleet
-(:mod:`repro.service.fleet`): N worker processes behind one
-consistent-hash router on the public port.  ``submit`` is the matching
-client: it posts circuits to a running service (or fleet — same
-protocol, same port shape) and prints one JSON row per point, honoring
-``Retry-After`` backpressure with bounded jittered retries
-(``--no-retry`` to fail fast).
+in-flight, reject new, flush cache temp files).  ``submit`` is the
+matching client: it posts circuits to a running service and prints one
+JSON row per point, honoring ``Retry-After`` backpressure with bounded
+jittered retries (``--no-retry`` to fail fast).
 
 Examples::
 
     merced serve --port 8356 --cache ~/.merced-cache --workers 4
-    merced serve --shards 4 --cache ~/.merced-cache
     merced submit s27 s510 --lk 16 24 --url http://127.0.0.1:8356
     merced submit --bench mydesign.bench --lk 24 --json results.json
     merced submit --metrics-only
@@ -32,8 +27,6 @@ from typing import List, Optional, Sequence
 
 from ..errors import ReproError, ServiceError
 from .client import ServiceClient
-from .fleet import CompileFleet
-from .router import RouterConfig
 from .server import CompileService, ServiceConfig
 
 __all__ = [
@@ -112,40 +105,27 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="how long a drain waits for in-flight work",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker shard processes; >1 boots a consistent-hash fleet "
-        "(router on --port, one hot tier + cache slice per shard)",
-    )
-    parser.add_argument(
         "--hot-entries",
         type=int,
         default=512,
         metavar="N",
-        help="in-memory hot-tier entries per shard (0 disables)",
+        help="in-memory hot-tier entries; size it to hold the repeat "
+        "working set (0 disables)",
     )
     parser.add_argument(
         "--hot-bytes",
         type=int,
         default=64 << 20,
         metavar="B",
-        help="in-memory hot-tier payload-byte bound per shard",
+        help="in-memory hot-tier payload-byte bound",
     )
     parser.add_argument(
         "--lint-capacity",
         type=int,
         default=8,
         metavar="N",
-        help="pending lint-only (degraded) answers per shard "
-        "(0 disables the shedding ladder's lint rung)",
-    )
-    parser.add_argument(
-        "--no-shed",
-        action="store_true",
-        help="fleet only: disable the router's graduated load-shedding "
-        "(429s pass through instead of degrading to cached/lint answers)",
+        help="pending mode=lint_only answers, served from a side thread "
+        "(0 answers them with 429)",
     )
     return parser
 
@@ -179,36 +159,9 @@ async def _serve(config: ServiceConfig) -> None:
     )
 
 
-async def _serve_fleet(fleet: CompileFleet) -> None:
-    """Run the (already worker-booted) fleet router until SIGTERM."""
-    await fleet.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # non-POSIX loops
-            pass
-    router = fleet.router_config
-    print(
-        f"merced serve: fleet of {fleet.n_shards} shards behind "
-        f"http://{router.host}:{fleet.port} "
-        f"(cache={fleet.config.cache_dir or 'off'}, "
-        f"hot={fleet.config.hot_entries}/shard)",
-        flush=True,
-    )
-    await stop.wait()
-    print("merced serve: draining fleet (router first, then shards)",
-          flush=True)
-    await fleet.drain()
-
-
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``merced serve``; returns the exit code."""
     args = build_serve_parser().parse_args(argv)
-    if args.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -224,25 +177,10 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         lint_capacity=args.lint_capacity,
     )
     try:
-        if args.shards == 1:
-            asyncio.run(_serve(config))
-        else:
-            fleet = CompileFleet(
-                shards=args.shards,
-                config=config,
-                router_config=RouterConfig(
-                    host=args.host, port=args.port, shed=not args.no_shed
-                ),
-            )
-            fleet.start_workers()
-            try:
-                asyncio.run(_serve_fleet(fleet))
-            finally:
-                fleet.shutdown(grace=config.drain_grace)
-                print("merced serve: fleet drained", flush=True)
+        asyncio.run(_serve(config))
     except KeyboardInterrupt:
         pass
-    except (OSError, RuntimeError) as exc:  # port in use, shard boot, ...
+    except (OSError, RuntimeError) as exc:  # e.g. the port is in use
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -3,8 +3,7 @@
 One class, stdlib-only (``http.client``), speaking the JSON protocol of
 :mod:`repro.service.server`.  Used by the ``merced submit`` CLI, the
 test-suite, and any embedding that wants compile results over the wire
-— all three therefore exercise the exact same protocol surface, which
-is what makes future multi-host sharding a client-side change.
+— all three therefore exercise the exact same protocol surface.
 
 Transport errors surface as :class:`~repro.errors.ServiceError`;
 non-200 responses (backpressure ``429``, drain ``503``, malformed

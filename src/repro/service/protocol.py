@@ -26,11 +26,8 @@ __all__ = [
     "MAX_BODY_BYTES",
     "ProtocolError",
     "HTTPRequest",
-    "HTTPResponse",
     "RawJSON",
     "read_request",
-    "read_response",
-    "render_request",
     "render_response",
 ]
 
@@ -59,10 +56,10 @@ class RawJSON:
     """Pre-serialized JSON body bytes, passed through verbatim.
 
     The service's hot tier stores payloads as already-serialized bytes;
-    wrapping them in ``RawJSON`` lets :func:`render_response` (and the
-    fleet router's proxy path) frame them without a decode/encode round
-    trip.  The bytes must be a complete JSON document *without* a
-    trailing newline (the renderer adds it, matching the dict path).
+    wrapping them in ``RawJSON`` lets :func:`render_response` frame them
+    without a decode/encode round trip.  The bytes must be a complete
+    JSON document *without* a trailing newline (the renderer adds it,
+    matching the dict path).
     """
 
     __slots__ = ("data",)
@@ -206,115 +203,3 @@ def render_response(
         lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
-
-def render_request(
-    method: str,
-    path: str,
-    payload: Optional[object] = None,
-    host: str = "localhost",
-) -> bytes:
-    """Serialize one ``Connection: close`` HTTP/1.1 JSON request.
-
-    The asyncio counterpart of the blocking client's ``http.client``
-    path — the fleet router uses it to forward submissions to worker
-    shards.  A :class:`RawJSON` payload (the original request body,
-    re-framed) is passed through byte-for-byte, so proxying never
-    perturbs key order or whitespace.
-    """
-    body = b""
-    if isinstance(payload, RawJSON):
-        body = payload.data
-    elif payload is not None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    lines = [
-        f"{method.upper()} {path} HTTP/1.1",
-        f"Host: {host}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        "Connection: close",
-    ]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-@dataclass
-class HTTPResponse:
-    """One parsed HTTP response (the router's view of a worker answer).
-
-    Attributes:
-        status: numeric status code.
-        headers: header map with lower-cased keys (last value wins).
-        body: raw response body bytes.
-    """
-
-    status: int
-    headers: Dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-
-    def json(self) -> object:
-        """Decode the body as JSON; :class:`ProtocolError` (502) if invalid."""
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ProtocolError(
-                502, f"invalid JSON from upstream: {exc}"
-            ) from exc
-
-
-async def read_response(reader: asyncio.StreamReader) -> HTTPResponse:
-    """Read and parse one HTTP response from ``reader``.
-
-    Mirrors :func:`read_request` (same head cap, ``Content-Length``
-    framing only) but for the client side of the wire; bodies without a
-    ``Content-Length`` are read to EOF, which ``Connection: close``
-    servers terminate naturally.  Malformed or over-limit responses
-    raise :class:`ProtocolError` with a 502 status (the router answers
-    for a broken upstream).
-    """
-    head = bytearray()
-    while True:
-        try:
-            line = await reader.readuntil(b"\r\n")
-        except asyncio.IncompleteReadError as exc:
-            raise ProtocolError(502, "truncated upstream response") from exc
-        except asyncio.LimitOverrunError as exc:
-            raise ProtocolError(502, "upstream response head too large") from exc
-        head += line
-        if len(head) > MAX_HEAD_BYTES:
-            raise ProtocolError(502, "upstream response head too large")
-        if line == b"\r\n":
-            break
-
-    try:
-        lines = bytes(head).decode("latin-1").split("\r\n")
-        version, status_text, _ = (lines[0] + "  ").split(" ", 2)
-        status = int(status_text)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(502, "malformed upstream status line") from exc
-    if not version.startswith("HTTP/1."):
-        raise ProtocolError(502, f"unsupported upstream protocol {version!r}")
-
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise ProtocolError(502, f"malformed upstream header {line!r}")
-        headers[name.strip().lower()] = value.strip()
-
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError as exc:
-            raise ProtocolError(502, "invalid upstream Content-Length") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(502, "invalid upstream Content-Length")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError as exc:
-            raise ProtocolError(502, "truncated upstream body") from exc
-    else:
-        body = await reader.read(MAX_BODY_BYTES + 1)
-        if len(body) > MAX_BODY_BYTES:
-            raise ProtocolError(502, "upstream body too large")
-    return HTTPResponse(status=status, headers=headers, body=body)

@@ -35,12 +35,10 @@ Core mechanics:
   re-serialization (the stored bytes are spliced into the response) —
   so repeat-hot circuits cost microseconds and never occupy an
   execution slot.
-* **Degraded modes** — a submission may carry ``"mode"``:
-  ``"cache_only"`` answers from the hot/disk tiers or 404s without
-  touching admission, and ``"lint_only"`` returns a lint-only analysis
-  of the circuit from a dedicated side executor.  The fleet router uses
-  these as its graduated load-shedding ladder (full → cached → lint →
-  429); they are equally callable by any direct client.
+* **Lint-only mode** — a submission carrying ``"mode": "lint_only"``
+  gets a lint-only analysis of the circuit instead of a compile, from a
+  dedicated side executor with its own small pending bound, so it is
+  answered even when every execution slot is busy.
 * **Observability** — ``GET /metrics`` aggregates the service
   counters, the service-level :class:`~repro.perf.PerfTrace` stage
   timers, p50/p99 request/execute latency histograms
@@ -58,11 +56,12 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..circuits.library import load_circuit
 from ..config import MercedConfig
@@ -101,7 +100,7 @@ _CONFIG_KEYS = tuple(f.name for f in fields(MercedConfig))
 _SUBMISSION_KEYS = ("kind", "circuit", "bench", "params", "timeout", "mode")
 
 #: Service-level execution modes a submission may request.
-SUBMISSION_MODES = ("full", "cache_only", "lint_only")
+SUBMISSION_MODES = ("full", "lint_only")
 
 #: Placeholder the hot path splices pre-serialized payload bytes over.
 #: ``"value"`` sorts last among the envelope keys, so an ``rpartition``
@@ -150,11 +149,9 @@ class ServiceConfig:
             hot tier entirely).
         hot_bytes: in-memory hot-tier payload-byte bound.
         lint_capacity: maximum pending ``lint_only`` answers (they run
-            on a dedicated side thread so shedding still degrades when
+            on a dedicated side thread, so they are answered even when
             every executor slot is busy); ``0`` disables lint-only
             answers (requests get 429 instead).
-        shard_name: label for this process in ``/metrics`` — the fleet
-            sets ``shard-0``..``shard-N``; empty for standalone serves.
     """
 
     host: str = "127.0.0.1"
@@ -172,7 +169,6 @@ class ServiceConfig:
     hot_entries: int = 512
     hot_bytes: int = 64 << 20
     lint_capacity: int = 8
-    shard_name: str = ""
 
 
 class ServiceMetrics:
@@ -206,8 +202,6 @@ class ServiceMetrics:
             "cache_hits": 0,
             "hot_hits": 0,
             "hot_stores": 0,
-            "cache_only_hits": 0,
-            "cache_only_misses": 0,
             "lint_only_served": 0,
             "completed_ok": 0,
             "failed": 0,
@@ -254,15 +248,10 @@ def parse_submission(
 ) -> Tuple[SweepPoint, Optional[float], str]:
     """Validate a submission dict into ``(SweepPoint, deadline, mode)``.
 
-    Shared by :class:`CompileService` (admission) and the fleet router
-    (consistent-hash routing needs the very same
-    :func:`~repro.exec.hashing.point_key` the workers coalesce and
-    cache by, so both sides must canonicalize submissions identically).
-
     ``mode`` is the service-level execution mode (one of
     :data:`SUBMISSION_MODES`); it does not enter the point, so a
-    ``cache_only`` probe looks up exactly the key its ``full``
-    counterpart stored.
+    ``lint_only`` request hits the hot tier under exactly the key its
+    ``full`` counterpart stored.
 
     Raises ``ValueError``/:class:`~repro.errors.ReproError` for
     malformed submissions (rendered as 400 responses).
@@ -336,8 +325,10 @@ def parse_submission(
     requested = submission.get("timeout")
     if requested is not None:
         requested = float(requested)
-        if requested <= 0:
-            raise ValueError(f"timeout must be positive, got {requested}")
+        if not (math.isfinite(requested) and requested > 0):
+            raise ValueError(
+                f"timeout must be positive and finite, got {requested}"
+            )
         deadline_s = (
             requested if deadline_s is None else min(requested, deadline_s)
         )
@@ -397,8 +388,7 @@ class CompileService:
         )
         if self.config.lint_capacity > 0:
             # One side thread keeps lint-only answers flowing even when
-            # every execution slot is pinned — that is the whole point
-            # of the load-shedding ladder's last useful rung.
+            # every execution slot is pinned.
             self._lint_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="merced-lint"
             )
@@ -591,7 +581,6 @@ class CompileService:
         snapshot = self.metrics.as_dict()
         return {
             "service": {
-                "shard": self.config.shard_name,
                 "draining": self._draining,
                 "queue_depth": self._active,
                 "stranded": self._stranded,
@@ -655,8 +644,6 @@ class CompileService:
                 self.metrics.bump("hot_hits")
                 return 200, self._hot_response(point, key, blob), None
 
-        if mode == "cache_only":
-            return await self._cache_only(point, key)
         if mode == "lint_only":
             return await self._lint_only(point, key)
 
@@ -770,18 +757,19 @@ class CompileService:
             call.exception()
 
     # ------------------------------------------------------------------
-    # hot tier + degraded modes
+    # hot tier + lint-only mode
     # ------------------------------------------------------------------
-    def _spliced_response(
-        self, point: SweepPoint, key: str, blob: bytes, hot: bool
+    def _hot_response(
+        self, point: SweepPoint, key: str, blob: bytes
     ) -> RawJSON:
-        """Build a response around pre-serialized payload ``blob`` bytes.
+        """The zero-copy response for an in-memory hot-tier hit.
 
         The envelope is rendered normally (sorted keys) with a sentinel
-        in the ``value`` slot, then the payload bytes are spliced over
-        it — the cached JSON is never decoded.  ``rpartition`` is safe
-        because ``value`` sorts last among the envelope keys, so the
-        final sentinel occurrence is always the value slot.
+        in the ``value`` slot, then the pre-serialized payload ``blob``
+        is spliced over it — the cached JSON is never decoded.
+        ``rpartition`` is safe because ``value`` sorts last among the
+        envelope keys, so the final sentinel occurrence is always the
+        value slot.
         """
         envelope = {
             "ok": True,
@@ -789,7 +777,7 @@ class CompileService:
             "kind": point.kind,
             "circuit": point.circuit,
             "cache_hit": True,
-            "hot": hot,
+            "hot": True,
             "coalesced": False,
             "attempts": 0,
             "seconds": 0.0,
@@ -799,59 +787,14 @@ class CompileService:
         head, _, tail = rendered.rpartition(f'"{_HOT_SENTINEL}"')
         return RawJSON(head.encode("utf-8") + blob + tail.encode("utf-8"))
 
-    def _hot_response(
-        self, point: SweepPoint, key: str, blob: bytes
-    ) -> RawJSON:
-        """The zero-copy response for an in-memory hot-tier hit."""
-        return self._spliced_response(point, key, blob, hot=True)
-
-    def _store_hot(self, key: str, blob: Optional[bytes]) -> None:
-        """Insert serialized payload bytes into the hot tier, if enabled."""
-        if self.hot is not None and blob is not None:
-            if self.hot.put(key, blob):
-                self.metrics.bump("hot_stores")
-
-    async def _cache_only(
-        self, point: SweepPoint, key: str
-    ) -> Tuple[int, object, Optional[Dict[str, str]]]:
-        """Answer from the disk tier without touching admission.
-
-        The hot tier was already consulted by :meth:`submit_point`; a
-        disk hit is promoted into it so the next repeat is a memory
-        splice.  A miss is a ``404`` — the router's shedding ladder
-        falls through to ``lint_only`` on it.  The disk read happens on
-        an executor thread, not the event loop.
-        """
-        if self.cache is not None:
-            blob = await asyncio.get_running_loop().run_in_executor(
-                None, self.cache.get_bytes, key
-            )
-        else:
-            blob = None
-        if blob is None:
-            self.metrics.bump("cache_only_misses")
-            return 404, {
-                "ok": False,
-                "key": short_key(key),
-                "kind": point.kind,
-                "circuit": point.circuit,
-                "error": "result not cached",
-                "error_type": "CacheMiss",
-                "coalesced": False,
-            }, None
-        self.metrics.bump("cache_only_hits")
-        self._store_hot(key, blob)
-        return 200, self._spliced_response(point, key, blob, hot=False), None
-
     async def _lint_only(
         self, point: SweepPoint, key: str
     ) -> Tuple[int, object, Optional[Dict[str, str]]]:
         """Serve a lint-only analysis instead of a compile.
 
-        The last useful rung of the shedding ladder: runs the static
-        linter on a dedicated side thread with its own small pending
-        bound, so clients still get circuit feedback when every
-        execution slot is busy.  The answer is a *degraded* row
+        Runs the static linter on a dedicated side thread with its own
+        small pending bound, so clients still get circuit feedback when
+        every execution slot is busy.  The answer is a *degraded* row
         (``ok: false``, ``degraded: "lint_only"``) — data, not an
         error, matching the farm's degraded-row convention.
         """
@@ -941,15 +884,17 @@ class CompileService:
             self.metrics.bump("completed_ok")
             response["value"] = result.value
             # Feed the hot tier: fresh executions and disk-cache hits
-            # alike, so the repeat traffic that dominates fleet replays
-            # is answered from memory from the second occurrence on.
-            try:
-                blob = json.dumps(result.value, sort_keys=True).encode(
-                    "utf-8"
-                )
-            except (TypeError, ValueError):
-                blob = None
-            self._store_hot(key, blob)
+            # alike, so repeat traffic is answered from memory from the
+            # second occurrence on.
+            if self.hot is not None:
+                try:
+                    blob = json.dumps(result.value, sort_keys=True).encode(
+                        "utf-8"
+                    )
+                except (TypeError, ValueError):
+                    blob = None
+                if blob is not None and self.hot.put(key, blob):
+                    self.metrics.bump("hot_stores")
         else:
             self.metrics.bump("failed")
             if result.error_type == "SweepTimeoutError":

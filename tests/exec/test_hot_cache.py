@@ -1,10 +1,9 @@
 """Unit tests for the in-memory hot tier (:class:`repro.exec.cache.HotCache`).
 
-The fleet's throughput lever is aggregate hot-tier capacity, so the
-LRU's bounds, eviction order, and stats must be exactly right — these
-tests pin them down without any service in the loop.  The disk tier's
-``get_bytes`` (the promotion path into the hot tier) is covered here
-too.
+The service's throughput on repeat traffic rides on the hot tier
+holding the working set, so the LRU's bounds, eviction order, and stats
+must be exactly right — these tests pin them down without any service
+in the loop.  The disk tier's ``get_bytes`` is covered here too.
 """
 
 from __future__ import annotations

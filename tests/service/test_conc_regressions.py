@@ -27,8 +27,8 @@ def conc_findings(code, path="src/repro/service/replica.py"):
 
 class TestAnalyzerCatchesTheFixedHazards:
     def test_event_loop_code_version_hash(self):
-        # server.py start() / router.py start() called code_version()
-        # (walks + hashes the source tree) directly on the event loop.
+        # CompileService.start() called code_version() (walks + hashes
+        # the source tree) directly on the event loop.
         code = (
             "def code_version():\n"
             "    import hashlib\n"
@@ -45,8 +45,8 @@ class TestAnalyzerCatchesTheFixedHazards:
         assert "code_version" in hits[0][4]
 
     def test_event_loop_cache_read(self):
-        # submit_point -> _cache_only -> ResultCache.get_bytes -> open()
-        # served cache hits with disk reads on the loop.
+        # submit_point -> ResultCache.get_bytes -> open() served cache
+        # hits with disk reads on the loop.
         code = (
             "class ResultCache:\n"
             "    def get_bytes(self, key):\n"

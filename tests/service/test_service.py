@@ -4,15 +4,17 @@ Boots a real :class:`~repro.service.server.CompileService` on a private
 event-loop thread (ephemeral port, throwaway on-disk cache) and drives
 it over actual HTTP with the bundled
 :class:`~repro.service.client.ServiceClient` — the same path ``merced
-submit`` uses.  Covers the ISSUE's required behaviours: request
-coalescing (N identical concurrent submissions → exactly one
-``SweepFarm`` execution), bounded-admission backpressure (rejects, not
-hangs), per-request deadlines enforced off the main thread, graceful
-drain, and bit-identical payloads versus the inline pipeline.
+submit`` uses.  Covers request coalescing (N identical concurrent
+submissions → exactly one ``SweepFarm`` execution), the in-memory hot
+tier, bounded-admission backpressure (rejects, not hangs) and the
+client's busy retries, ``lint_only`` answers, per-request deadlines
+enforced off the main thread, graceful drain, and bit-identical
+payloads versus the inline pipeline.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import socket
@@ -49,9 +51,9 @@ def boot(tmp_path):
         settings.update(overrides)
         handle = ServiceThread(ServiceConfig(**settings)).start()
         handles.append(handle)
-        # retry_on_busy off: this suite asserts raw 429 semantics
-        # (immediacy, counters); the retry loop is covered in
-        # tests/service/test_fleet.py.
+        # retry_on_busy off: most of this suite asserts raw 429
+        # semantics (immediacy, counters); the retry tests build their
+        # own client.
         client = ServiceClient(
             port=handle.port, timeout=60.0, retry_on_busy=False
         )
@@ -245,6 +247,43 @@ def test_sequential_duplicate_served_from_disk_cache(boot):
 
 
 # ----------------------------------------------------------------------
+# hot tier
+# ----------------------------------------------------------------------
+def _raw_post(port, path, payload):
+    """POST ``payload`` as JSON; return the 200 response's body bytes."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60.0)
+    try:
+        conn.request(
+            "POST",
+            path,
+            body=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        assert response.status == 200
+        return response.read()
+    finally:
+        conn.close()
+
+
+def test_hot_hit_response_bytes_match_first_cached_response(boot):
+    """The hot tier's spliced bytes must decode to the same value the
+    executed response served, and be exactly the bytes the encoder
+    would have written for the whole response."""
+    handle, client = boot()
+    first = client.compile_point(circuit="s27", lk=4)
+    raw = _raw_post(handle.port, "/v1/compile", {"circuit": "s27", "lk": 4})
+    hot = json.loads(raw)
+    assert hot["hot"] is True and hot["cache_hit"] is True
+    assert json.dumps(hot["value"], sort_keys=True) == json.dumps(
+        first["value"], sort_keys=True
+    )
+    assert raw == (json.dumps(hot, sort_keys=True) + "\n").encode("utf-8")
+    counters = client.metrics()["counters"]
+    assert counters["executed"] == 1 and counters["hot_hits"] == 1
+
+
+# ----------------------------------------------------------------------
 # backpressure
 # ----------------------------------------------------------------------
 def test_over_capacity_submission_gets_429_not_queued(boot):
@@ -289,6 +328,79 @@ def test_burst_sweep_degrades_per_point_instead_of_hanging(boot):
         r["error_type"] == "ServiceOverloaded" and "retry_after" in r
         for r in rejected
     )
+
+
+def _hold_only_slot(client, seconds):
+    """Start a ``_spin`` that owns the only slot; returns its thread."""
+    blocker = threading.Thread(
+        target=lambda: client.compile_point(
+            kind="_spin", params={"seconds": seconds}
+        )
+    )
+    blocker.start()
+    time.sleep(0.3)
+    return blocker
+
+
+def test_client_retries_busy_until_capacity_frees(boot):
+    handle, _ = boot(
+        workers=1, queue_capacity=1, retry_after=0.2, hot_entries=0
+    )
+    client = ServiceClient(port=handle.port, timeout=60.0, retries=6)
+    blocker = _hold_only_slot(client, 1.2)
+    # fails hard without retries; with them, the Retry-After backoff
+    # outlives the spin and the point lands
+    row = client.compile_point(circuit="s27", lk=3, seed=7)
+    blocker.join(30.0)
+    assert not blocker.is_alive()
+    assert row["ok"] is True
+    counters = handle.service.metrics.as_dict()["counters"]
+    assert counters["rejected_backpressure"] >= 1
+
+
+def test_client_opt_out_fails_fast(boot):
+    handle, _ = boot(
+        workers=1, queue_capacity=1, retry_after=0.2, hot_entries=0
+    )
+    client = ServiceClient(
+        port=handle.port, timeout=60.0, retry_on_busy=False
+    )
+    blocker = _hold_only_slot(client, 1.0)
+    try:
+        with pytest.raises(ServiceRejectedError) as err:
+            client.compile_point(circuit="s27", lk=3, seed=7)
+    finally:
+        blocker.join(30.0)
+    assert err.value.status == 429
+    # one rejection on the wire, zero retries behind it
+    counters = handle.service.metrics.as_dict()["counters"]
+    assert counters["rejected_backpressure"] == 1
+
+
+# ----------------------------------------------------------------------
+# lint-only mode
+# ----------------------------------------------------------------------
+def test_lint_only_answers_without_admitting_or_executing(boot):
+    _, client = boot()
+    row = client.compile_point(
+        circuit="s27", lk=3, seed=7, mode="lint_only"
+    )
+    assert row["ok"] is False
+    assert row["degraded"] == "lint_only"
+    assert row["error_type"] == "DegradedAnswer"
+    assert "summary" in row["lint"]
+    counters = client.metrics()["counters"]
+    assert counters["lint_only_served"] == 1
+    assert counters["admitted"] == 0 and counters["executed"] == 0
+
+
+def test_lint_only_without_capacity_is_429(boot):
+    _, client = boot(lint_capacity=0)
+    with pytest.raises(ServiceRejectedError) as err:
+        client.compile_point(circuit="s27", lk=3, mode="lint_only")
+    assert err.value.status == 429
+    assert err.value.payload["error_type"] == "ServiceOverloaded"
+    assert client.metrics()["counters"]["rejected_lint_queue"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -449,11 +561,41 @@ def test_malformed_bench_is_400_with_line_context(boot):
     assert "line 3" in err.value.payload["error"]
 
 
-def test_nonpositive_timeout_is_400(boot):
+@pytest.mark.parametrize("mode", ["cache_only", "bogus"])
+def test_unknown_mode_is_400(boot, mode):
     _, client = boot()
     with pytest.raises(ServiceRejectedError) as err:
-        client.compile_point(circuit="s27", timeout=-1.0)
+        client.compile_point(circuit="s27", lk=3, mode=mode)
     assert err.value.status == 400
+    assert "unknown mode" in err.value.payload["error"]
+
+
+@pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+def test_nonpositive_timeout_is_400(boot, timeout):
+    _, client = boot()
+    with pytest.raises(ServiceRejectedError) as err:
+        client.compile_point(circuit="s27", timeout=timeout)
+    assert err.value.status == 400
+    counters = client.metrics()["counters"]
+    assert counters["admitted"] == 0 and counters["watchdog_missed"] == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", float("nan")),
+        ("alpha", float("inf")),
+        ("optimize_budget", float("nan")),
+    ],
+)
+def test_non_finite_config_is_400(boot, field, value):
+    """NaN used to compile (alpha=NaN gave a wrong Σ, then cached it)."""
+    _, client = boot()
+    with pytest.raises(ServiceRejectedError) as err:
+        client.compile_point(circuit="s27", lk=3, **{field: value})
+    assert err.value.status == 400
+    assert err.value.payload["error_type"] == "ConfigError"
+    assert client.metrics()["counters"]["admitted"] == 0
 
 
 def test_missing_circuit_and_bench_is_400(boot):

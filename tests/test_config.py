@@ -37,6 +37,14 @@ class TestConfig:
             {"min_visit": 0},
             {"beta": 0},
             {"max_sources": 0},
+            # NaN slips past every "<= 0" check, inf past the lower bounds
+            {"delta": float("nan")},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"cap": float("inf")},
+            {"optimize_budget": float("nan")},
+            {"optimize_budget": float("inf")},
+            {"lk": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -28,8 +28,6 @@ NEVER_LOADED = (
     "numpy",
     "asyncio",
     "repro.service.server",
-    "repro.service.fleet",
-    "repro.service.router",
     "repro.analysis.concurrency",
     "repro.retiming.mincost",
     "repro.retiming.initial_state",
