@@ -12,10 +12,10 @@ PRs can diff both time and *work* — a counter regression flags an
 algorithmic change even when wall clock is noisy on shared runners.
 
 Every circuit retimes its **full** cut set (``retiming_cut_stride`` is
-recorded as 1 and checked).  Earlier revisions silently subsampled
-s5378's cuts at stride 16 because the solver re-ran a budget-tripping
-relaxation per drop round; the incremental solver's cycle-deficit
-certificate removed that wall, so the stride map is gone.
+recorded as 1 and checked).  Earlier revisions subsampled s5378's cuts
+at stride 16 because a greedy drop loop re-solved feasibility once per
+dropped cut; the exact min-cost-flow solver needs one SPFA round per
+cancelled cycle, so every row runs the whole cut set.
 
 Run (writes the baseline in place):
     PYTHONPATH=src python scripts/bench_trend.py

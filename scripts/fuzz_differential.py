@@ -4,10 +4,9 @@ Draws random corpus circuits (:mod:`repro.corpus`) and checks every
 implementation pair that claims agreement:
 
 * compiled CSR kernels vs ``*_reference`` twins (Tarjan, make_group,
-  assign_cbit, SPFA retiming) — bit-identical fingerprints;
-* greedy drop-loop retiming vs the min-cost-flow backend — cut-set
-  equivalence (same unconstrained set, same covered ⊎ dropped universe,
-  both legal, covered cuts actually registered);
+  assign_cbit, cut retiming) — bit-identical fingerprints;
+* the cut retiming recounted as a legal minimal cover (an output
+  oracle, at every circuit size);
 * ``merced serve`` vs inline ``Merced.run`` — byte-identical payloads.
 
 A mismatch is shrunk to a minimal failing spec and archived as a
@@ -48,14 +47,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--max-gates", type=int, default=640, help="largest drawn circuit"
     )
-    parser.add_argument(
-        "--solver-max-gates",
-        type=int,
-        default=None,
-        help="raise the circuit-size cap on the dense greedy-vs-mcf "
-        "solver differential (default: keep the interactive 384-gate "
-        "cap; nightly runs pass a larger value)",
-    )
     parser.add_argument("--lk", type=int, default=16, help="CUT input bound l_k")
     parser.add_argument("--beta", type=int, default=1, help="SCC cut budget factor")
     parser.add_argument(
@@ -91,7 +82,6 @@ def main(argv=None) -> int:
         with_service=not args.no_service,
         checks=args.checks,
         log=print,
-        solver_max_gates=args.solver_max_gates,
     )
     elapsed = time.perf_counter() - t0
 

@@ -106,14 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve and apply the cut retiming; report the register moves",
     )
     parser.add_argument(
-        "--retiming-solver",
-        choices=["auto", "reference", "mcf"],
-        default="auto",
-        help="cut-retiming backend: auto/reference are bit-identical "
-        "(compiled or dense reference rounds); mcf is the experimental "
-        "min-cost-flow formulation",
-    )
-    parser.add_argument(
         "--profile",
         nargs="?",
         const="-",
@@ -558,7 +550,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = Merced(config).run(
                 netlist,
                 retimable_method="solver" if args.solver else "scc-budget",
-                optimize_solver=args.retiming_solver,
             )
         finally:
             if trace is not None:
@@ -594,9 +585,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 graph = build_circuit_graph(netlist, with_po_nodes=True)
                 with perf_stage("retime"):
                     solution = solve_cut_retiming(
-                        graph,
-                        report.partition.cut_nets(),
-                        solver=args.retiming_solver,
+                        graph, report.partition.cut_nets()
                     )
             finally:
                 if trace is not None:

@@ -43,7 +43,7 @@ def count_retimable_cuts(
     Args:
         method: ``"scc-budget"`` — the paper's accounting: per SCC ``λ``,
             ``min(f(λ), cuts inside λ)`` plus every off-SCC cut.
-            ``"solver"`` — exact feasibility via Bellman–Ford relaxation
+            ``"solver"`` — the exact maximum-coverage retiming solve
             (requires ``graph``).
     """
     if method == "solver":

@@ -15,8 +15,8 @@ closes that gap:
 * :mod:`repro.corpus.registry` — named specs: the committed seed corpus
   under ``benchmarks/corpus/`` and the large trend-bench circuits.
 * :mod:`repro.corpus.fuzz` — the differential fuzz harness: runs
-  compiled-vs-reference kernels, greedy-vs-mcf retiming, and
-  service-vs-inline ``Merced.run`` on random corpus circuits, shrinks
+  compiled-vs-reference kernels, an output oracle on the cut retiming,
+  and service-vs-inline ``Merced.run`` on random corpus circuits, shrinks
   any mismatch to a minimal reproducer and archives it as a regression
   ``.bench`` file (driven by ``scripts/fuzz_differential.py``).
 * :mod:`repro.corpus.cli` — the ``merced corpus`` subcommand

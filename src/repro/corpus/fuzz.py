@@ -3,15 +3,16 @@
 The repo carries several pairs of implementations that claim agreement:
 
 * compiled CSR kernels (Tarjan, ``Make_Set``, ``make_group``,
-  ``assign_cbit``, SPFA retiming) vs their ``*_reference``
+  ``assign_cbit``, cut retiming) vs their ``*_reference``
   twins — **bit-identical** by contract;
-* the greedy drop-loop retiming solver vs the experimental min-cost-flow
-  backend — *not* bit-identical, but **cut-set equivalent**: same
-  unconstrained set, same covered ⊎ dropped universe, both legal, every
-  covered cut actually registered;
 * ``merced serve`` vs an inline :class:`~repro.core.merced.Merced` run —
   **byte-identical payloads** (the service is a transport, not a
   different compiler).
+
+One check needs no second implementation: the cut-retiming solution is
+recounted from the edge list as a legal minimal cover
+(:func:`repro.retiming.verify.verify_drop_set`), so a bug shared by the
+solver and its reference twin still shows.
 
 This module turns those contracts into a continuous fuzz loop over
 random :class:`~repro.corpus.spec.CorpusSpec` circuits.  Any mismatch is
@@ -121,7 +122,6 @@ def pipeline_fingerprint(
         "covered": sorted(solution.covered_cuts),
         "dropped": sorted(solution.dropped_cuts),
         "unconstrained": sorted(solution.unconstrained_cuts),
-        "iterations": solution.iterations,
     }
 
 
@@ -153,21 +153,14 @@ def check_pipeline(
 def check_solvers(
     netlist: Netlist, lk: int = 16, beta: int = 1
 ) -> Optional[str]:
-    """Greedy SPFA drop-loop vs min-cost-flow: cut-set equivalence.
+    """Output oracle on the production cut retiming.
 
-    The mcf backend is allowed to drop a *different* set of cuts (it
-    minimises total requirement shortfall; the greedy loop drops in
-    deficit-certificate order), so this is deliberately weaker than
-    bit-identity:
-
-    * each solver's drop set must satisfy the legal-minimal-cover
-      contract of :func:`repro.retiming.verify.verify_drop_set`
-      (legal lags, three-way split partitions the universe, every
-      covered cut registered on all its requirement edges; the mcf
-      side additionally proves minimality — no dropped cut is already
-      fully registered);
-    * the unconstrained set (cuts generating no constraint) is solver
-      independent and must match exactly.
+    The solution must be a legal minimal cover
+    (:func:`repro.retiming.verify.verify_drop_set`): legal lags, a
+    covered/dropped/unconstrained split of the cut universe, every
+    covered cut registered on all its requirement edges, and no dropped
+    cut already fully registered.  :func:`check_pipeline` already holds
+    the solver bit-identical to its reference twin.
     """
     from ..retiming.verify import verify_drop_set
 
@@ -177,22 +170,8 @@ def check_solvers(
     group = make_group(graph, scc_index, config, strict=False)
     cuts = assign_cbit(group.partition).partition.cut_nets()
     edges = register_weighted_edges(graph)
-
-    greedy = solve_cut_retiming(graph, cuts, edges=edges)
-    mcf = solve_cut_retiming(graph, cuts, edges=edges, solver="mcf")
-
-    for label, sol, minimal in (
-        ("greedy", greedy, False),
-        ("mcf", mcf, True),
-    ):
-        problem = verify_drop_set(
-            graph, cuts, sol, edges=edges, minimal=minimal
-        )
-        if problem is not None:
-            return f"{label}: {problem}"
-    if sorted(greedy.unconstrained_cuts) != sorted(mcf.unconstrained_cuts):
-        return "unconstrained cut sets differ between solvers"
-    return None
+    solution = solve_cut_retiming(graph, cuts, edges=edges)
+    return verify_drop_set(graph, cuts, solution, edges=edges)
 
 
 def check_service(
@@ -406,11 +385,6 @@ def _archive(
     return str(bench_path), str(spec_path)
 
 
-#: solver differential is dense (O(n·m) cycle cancelling) — cap its
-#: circuit size so a fuzz session stays interactive.
-_SOLVER_CHECK_MAX_GATES = 384
-
-
 def run_fuzz(
     rounds: int,
     seed: int,
@@ -421,7 +395,6 @@ def run_fuzz(
     with_service: bool = False,
     checks: Optional[Sequence[str]] = None,
     log: Optional[Callable[[str], None]] = None,
-    solver_max_gates: Optional[int] = None,
 ) -> FuzzReport:
     """Run ``rounds`` differential fuzz rounds; archive every mismatch.
 
@@ -442,16 +415,7 @@ def run_fuzz(
             ``merced serve`` thread for the session).
         checks: restrict to a subset of :data:`CHECKS`.
         log: optional progress sink (e.g. ``print``).
-        solver_max_gates: raise (or lower) the circuit-size cap on the
-            dense greedy-vs-mcf solver differential; ``None`` keeps
-            :data:`_SOLVER_CHECK_MAX_GATES`.  Nightly runs raise it to
-            cover the mcf backend well above the interactive cap.
     """
-    solver_cap = (
-        _SOLVER_CHECK_MAX_GATES
-        if solver_max_gates is None
-        else solver_max_gates
-    )
     enabled = list(checks) if checks is not None else list(CHECKS)
     unknown = set(enabled) - set(CHECKS)
     if unknown:
@@ -490,8 +454,6 @@ def run_fuzz(
             netlist = generate_corpus_circuit(spec)
             report.rounds += 1
             for check in enabled:
-                if check == "solver" and spec.n_gates > solver_cap:
-                    continue
                 detail = _run_check(check, netlist, client, lk, beta)
                 report.checks_run[check] = (
                     report.checks_run.get(check, 0) + 1

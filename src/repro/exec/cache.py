@@ -196,24 +196,6 @@ class ResultCache:
                 pass
         return n
 
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        """The cached payload for ``key`` as serialized JSON bytes.
-
-        Same hit/miss/error accounting as :meth:`get`, but re-encodes
-        the payload with sorted keys — the canonical byte form the
-        service's hot tier stores, so a disk hit can be promoted into
-        memory without a second serialization later.
-        """
-        payload = self.get(key)
-        if payload is None:
-            return None
-        try:
-            return json.dumps(payload, sort_keys=True).encode("utf-8")
-        except (TypeError, ValueError):
-            with self._lock:
-                self.stats.errors += 1
-            return None
-
     def flush(self, min_age_s: float = 0.0) -> int:
         """Remove orphaned ``.tmp-*`` files; returns how many were removed.
 

@@ -15,7 +15,7 @@ legality-preserving local search:
 Both run on the :class:`MoveEngine`, which prechecks every proposal
 against Eq. 5 (ι ≤ l_k) and the Eq. 6 per-SCC cut budgets and keeps
 Σ (Eq. 4), the live cut set, and the per-SCC charges incrementally.
-Accepted cut-set changes are re-retimed through the warm-started
+Accepted cut-set changes are re-retimed through the exact cut-retiming
 solver so the uncovered-cut term is exact.  The returned partition is
 guaranteed ``Σ ≤ Σ_greedy`` (the seed is the fallback).
 
@@ -69,7 +69,6 @@ def optimize_partition(
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
     locked: Optional[Set[str]] = None,
-    solver: str = "auto",
     audit: bool = False,
 ) -> OptimizeResult:
     """Run the refinement variant selected by ``config.optimize``.
@@ -94,6 +93,5 @@ def optimize_partition(
         name=name,
         edges=edges,
         locked=locked,
-        solver=solver,
         audit=audit,
     )

@@ -40,7 +40,6 @@ def fast_refine(
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
     locked: Optional[Set[str]] = None,
-    solver: str = "auto",
     audit: bool = False,
 ) -> OptimizeResult:
     """Greedy cut-absorption sweeps; strictly improving moves only.
@@ -58,7 +57,7 @@ def fast_refine(
 
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts
-    solution = retime_cuts(graph, engine.cut_nets(), edges, solver)
+    solution = retime_cuts(graph, engine.cut_nets(), edges)
     uncovered0 = len(solution.dropped_cuts)
     n_retimes = 1
     max_proposals = schedule_steps(
@@ -96,7 +95,7 @@ def fast_refine(
             break
 
     if changed_since_retime:
-        solution = retime_cuts(graph, engine.cut_nets(), edges, solver)
+        solution = retime_cuts(graph, engine.cut_nets(), edges)
         n_retimes += 1
     refined = engine.export_partition(scc_index=scc_index)
     return OptimizeResult(

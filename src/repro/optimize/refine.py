@@ -22,16 +22,13 @@ changing the answer.
 
 **Re-retiming contract.**  One exact solve
 (:func:`~repro.retiming.solve.solve_cut_retiming` with a precomputed
-``register_weighted_edges`` list — the warm-start hook the incremental
-solver exposes) runs at the start, at deterministic mid-run
-checkpoints the budget can afford (:func:`estimate_retime_seconds`),
-and once on the final best state, so every *reported* number is exact.
-Between checkpoints the uncovered term is estimated pessimistically:
-any current cut the last solve did not prove covered (or
-unconstrained) is charged as uncovered, so the walk can only be
-surprised favourably.  With ``solver="mcf"`` each solution's drop set
-is additionally verified as a legal minimal cover
-(:func:`repro.retiming.verify.verify_drop_set`).
+``register_weighted_edges`` list shared by every solve) runs at the
+start, at deterministic mid-run checkpoints the budget can afford
+(:func:`estimate_retime_seconds`), and once on the final best state, so
+every *reported* number is exact.  Between checkpoints the uncovered
+term is estimated pessimistically: any current cut the last solve did
+not prove covered (or unconstrained) is charged as uncovered, so the
+walk can only be surprised favourably.
 """
 
 from __future__ import annotations
@@ -39,12 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from ..errors import RetimingError
 from ..graphs.digraph import CircuitGraph
 from ..graphs.paths import WeightedEdge
 from ..partition.clusters import Partition
 from ..retiming.solve import RetimingSolution, solve_cut_retiming
-from ..retiming.verify import verify_drop_set
 
 __all__ = [
     "ACELL_DFF",
@@ -78,8 +73,8 @@ def schedule_steps(budget_seconds: float, n_nodes: int, n_cuts: int) -> int:
     """Deterministic move-schedule length for a wall-clock budget.
 
     Calibrated cost of one proposal on a reference host: two cluster
-    input-net recounts plus (amortised) one warm-started re-retime —
-    linear in circuit size and cut count.  Clamped so tiny circuits
+    input-net recounts plus (amortised) one re-retime — linear in
+    circuit size and cut count.  Clamped so tiny circuits
     still explore and huge ones cannot run away.
     """
     per_move = 2.5e-4 + 1.5e-6 * (n_nodes + 8 * n_cuts)
@@ -87,14 +82,17 @@ def schedule_steps(budget_seconds: float, n_nodes: int, n_cuts: int) -> int:
 
 
 def estimate_retime_seconds(n_edges: int, n_cuts: int) -> float:
-    """Deterministic wall-clock estimate of one cut-retiming solve.
+    """Deterministic cost charged for one cut-retiming solve.
 
-    Calibrated on the bundled ISCAS'89 circuits (s510 ≈ 1.1 s at
-    454 edges / 105 cuts, s1423 ≈ 10 s at 1368 / 337): the greedy
-    drop loop re-solves feasibility per dropped cut, so cost scales
-    with ``edges × cuts``.  Used to decide how many *exact* re-retimes
-    the ``optimize_budget`` can afford — the schedule itself stays a
-    pure function of circuit size, never of measured time.
+    Used to decide how many *exact* re-retimes the ``optimize_budget``
+    can afford, so the schedule stays a pure function of circuit size,
+    never of measured time.  The constant is a fixed part of that
+    schedule, not a timing model: it was calibrated on an earlier
+    solver that re-solved feasibility per dropped cut (s510 ≈ 1.1 s at
+    454 edges / 105 cuts, s1423 ≈ 10 s at 1368 / 337).  The exact
+    min-cost-flow solver runs the same solves in well under a tenth of
+    that, so the estimate now overstates the cost; changing it would
+    change every refinement schedule and golden.
     """
     return 2e-5 * n_edges * max(1, n_cuts)
 
@@ -103,28 +101,9 @@ def retime_cuts(
     graph: CircuitGraph,
     cut_nets: Sequence[str],
     edges: Sequence[WeightedEdge],
-    solver: str = "auto",
 ) -> RetimingSolution:
-    """One warm-started cut-retiming solve for the refinement loop.
-
-    Raises:
-        RetimingError: ``solver="mcf"`` produced a drop set that fails
-            the legal-minimal-cover contract (never observed; the check
-            is the guard that makes the experimental backend admissible
-            inside the anneal loop).
-    """
-    solution = solve_cut_retiming(
-        graph, cut_nets, edges=edges, solver=solver
-    )
-    if solver == "mcf":
-        problem = verify_drop_set(
-            graph, cut_nets, solution, edges=edges, minimal=True
-        )
-        if problem is not None:
-            raise RetimingError(
-                f"mcf drop set failed verification mid-refinement: {problem}"
-            )
-    return solution
+    """One exact cut-retiming solve for the refinement loop."""
+    return solve_cut_retiming(graph, cut_nets, edges=edges)
 
 
 @dataclass

@@ -18,7 +18,6 @@ from .legality import connection_deltas, infer_retiming, verify_retiming
 
 #: Exports the compile path never uses, imported on first access.
 _LAZY = {
-    "solve_cut_retiming_mcf": "mincost",
     "verify_drop_set": "verify",
     "check_equivalence": "initial_state",
     "find_equivalent_initial_state": "initial_state",
@@ -34,7 +33,6 @@ __all__ = [
     "bellman_ford_constraints",
     "solve_cut_retiming",
     "solve_cut_retiming_reference",
-    "solve_cut_retiming_mcf",
     "verify_drop_set",
     "RetimedCircuit",
     "apply_retiming",

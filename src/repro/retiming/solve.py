@@ -1,61 +1,67 @@
-"""Retiming feasibility solver for cut-net register placement.
+"""Exact cut-net retiming: maximum register coverage as a min-cost flow.
 
 Given the cut nets chosen by the partitioner, we want a legal retiming
-that leaves **at least one register on every cut net** (so the A_CELL can
-be built from a functional DFF instead of a fresh register + MUX).
+that leaves **at least one register on as many cut nets as possible**:
+a covered cut's A_CELL reuses a functional DFF (0.9 DFF), an uncovered
+one keeps a MUXed A_CELL (2.3 DFF, §2.3/§4.2).
 
-Each requirement ``w_ρ(e) ≥ r(e)`` with ``w_ρ(e) = w(e) + ρ(head) − ρ(tail)``
-is the difference constraint ``ρ(tail) − ρ(head) ≤ w(e) − r(e)``, solvable
-by Bellman–Ford on the constraint graph; a negative cycle certifies
-infeasibility, and — by Corollary 2 — negative cycles appear exactly when
-some circuit cycle is asked to hold more registers than it owns
-(``χ(λ) > f(λ)``).  When that happens the solver drops requirements on
-the offending cycle one at a time (those cuts keep their MUXed A_CELLs)
-until the system is feasible.
+**Formulation.**  With ``w_ρ(e) = w(e) + ρ(head) − ρ(tail)`` (Lemma 1),
+legality is the difference constraint ``ρ(tail) − ρ(head) ≤ w(e)`` on
+every register-weighted edge.  Every requirement edge of a cut net ``N``
+(an edge whose first via net is ``N``) has ``N``'s driver ``u_N`` as its
+tail.  Give ``N`` one slack variable ``y_N``, shared by all of them, and
 
-The compiled solve path interns the constraint graph to integer arrays
-once and treats the round loop as an *incremental* sequence of solves:
+    maximise  Σ_N (y_N − ρ(u_N))
+    s.t.      y_N − ρ(head_i) ≤ w_i − 1   on each requirement edge i of N
+              y_N − ρ(u_N)    ≤ 0
 
-* **Cycle-deficit certificate.**  Dropping a victim raises the cost of
-  its edges by exactly 1, so the total cost of the previous round's
-  negative cycle is trivially maintained across the drop.  While that
-  sum stays negative the same cycle is still negative in the new system
-  — the round is provably infeasible and the solver skips the
-  feasibility attempt entirely, going straight to the canonical replay.
-  On the BENCH circuits almost every round is certified this way, which
-  removes the dominant cost of the old loop (a full budget-tripping
-  SPFA per infeasible round).
-* **Queue-based relaxation.**  When feasibility is genuinely in
-  question the round is solved by :func:`_spfa_feasible` over the
-  interned constraint CSR; initialising every variable to 0 makes the
-  fixed point the shortest-path tree from an implicit super-source,
-  which is unique — so the feasible assignment is bit-identical to
-  :func:`bellman_ford_constraints` regardless of relaxation order.
-* **Canonical replay with in-history fast-forward.**  Infeasible (or
-  capped) rounds are resolved by :func:`_bf_rounds`, an interned replay
-  of the reference Bellman–Ford that fires the same updates in the same
-  order but fast-forwards analytically through the periodic tail — so
-  the *canonical* negative cycle (and hence the dropped-cut choice) is
-  unchanged, without simulating every dense pass.
+Under a legal ρ each term is 0 when ``N`` is covered and −1 otherwise,
+so the optimum is minus the fewest nets any legal retiming must drop.
+Every constraint ``x_a − x_b ≤ c`` is an arc ``b → a`` of cost ``c``,
+so the LP's dual is a min-cost flow (the network-flow dual of retiming,
+arXiv 1402.2460): one unit from each ``u_N`` to its ``y_N`` over
+uncapacitated arcs.  A network matrix is totally unimodular, so the LP
+has an integral optimum and the solve is exact.
 
-An experimental min-cost-flow backend (``solver="mcf"``, see
-:mod:`repro.retiming.mincost`) solves the same drop-minimisation as one
-min-cost circulation instead of a greedy victim loop; it is *not*
-bit-identical to the reference and exists for evaluation.
+**Algorithm.**  Start with every unit on its direct arc ``u_N → y_N``
+(cost 0, every cut covered) and cancel negative cycles.  Each round runs
+one SPFA from the all-zero start over the residual network, queueing
+the nodes in DFS reverse postorder; a walk of the predecessor graph
+every ``n`` relaxations finds a negative cycle exactly (any cycle in
+that graph is negative, and a negative cycle eventually leaves one
+there for good).  Pushing one unit around the cycle lowers the cost by
+at least 1, so there are at most (optimal drops + 1) rounds.  The last
+round's distances are ρ: the greatest all-zero-start fixed point of
+the optimal dual set, which is the same set for every optimal flow — so
+ρ and the covered/dropped split do not depend on which cycles were
+cancelled.
+
+While a net's unit sits on its direct arc, ``y_N`` and ``u_N`` form a
+zero-cost 2-cycle, so the solver folds ``y_N`` into ``u_N`` (the net's
+requirement arcs end at ``u_N``).  The first round is then the plain
+"every requirement enforced" feasibility check.
 """
 
 from __future__ import annotations
 
 from collections import deque
-
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import RetimingError
 from ..graphs.digraph import CircuitGraph
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..perf import count as perf_count
-from .model import Retiming, retimed_weight
+from .model import Retiming
 
 __all__ = [
     "RetimingSolution",
@@ -63,11 +69,6 @@ __all__ = [
     "solve_cut_retiming_reference",
     "bellman_ford_constraints",
 ]
-
-#: Passes of firing history the replay retains for periodicity detection.
-#: Bounds memory on huge SCCs; periods observed on the BENCH circuits are
-#: dozens of passes, far below the cap.
-_RING_LIMIT = 1024
 
 
 @dataclass
@@ -79,8 +80,7 @@ class RetimingSolution:
     keep their MUXed A_CELLs; ``unconstrained_cuts`` never generated a
     constraint at all (their net heads no register-weighted edge — e.g.
     dangling or mid-via-only nets), so the solver neither covered nor
-    dropped them.  They were historically folded into ``covered_cuts``,
-    inflating :attr:`coverage`; they are now reported separately.
+    dropped them.  ``iterations`` counts cycle-search rounds.
     """
 
     retiming: Retiming
@@ -143,333 +143,327 @@ def bellman_ford_constraints(
     return None, cycle
 
 
-def _spfa_feasible(
-    n: int,
-    adj_start: List[int],
-    adj_cons: List[int],
-    con_u: List[int],
-    cost: List[int],
-) -> Tuple[Optional[List[int]], int]:
-    """Queue-based relaxation of interned difference constraints.
+@dataclass
+class _Network:
+    """The retiming LP as arcs ``src → dst``: ``x[dst] − x[src] ≤ cost``.
 
-    ``adj_start``/``adj_cons`` is the CSR list of constraint indices
-    whose relax *source* is each node (constraint ``x_u − x_v ≤ c`` is
-    the edge ``v → u``); ``con_u[ci]`` is the target and ``cost[ci]``
-    the bound.  Returns ``(dist, relaxations)`` at the unique all-zero
-    fixed point — the queue can only drain at a genuine fixed point — or
-    ``(None, relaxations)`` once the relaxation budget trips.  The
-    budget is a cheap *suspicion* bound, not a certificate: feasible
-    systems settle in a few sweeps' worth of relaxations, while a
-    negative cycle relaxes forever, so tripping early costs nothing but
-    a hand-off.  The caller re-checks every trip with :func:`_bf_rounds`
-    (exact reference semantics), so false positives only cost time —
-    never correctness.
+    Variables ``0 .. len(names)−1`` are ρ (``names`` lists the circuit
+    nodes), then the pin_io host when there is one, then one ``y_N``
+    per constrained cut net, ``y_N = n_rho + j`` for ``nets[j]``.
+    """
+
+    names: List[str]
+    n_rho: int
+    src: List[int]
+    dst: List[int]
+    cost: List[int]
+    nets: List[str]  # constrained cut nets
+    driver: List[int]  # u_N per net
+    req: List[List[int]]  # requirement arcs head_i → y_N per net
+    direct: List[int]  # the arc u_N → y_N per net
+
+    @property
+    def n_vars(self) -> int:
+        return self.n_rho + len(self.nets)
+
+
+def _network(
+    graph: CircuitGraph,
+    cut_set: Set[str],
+    edges: Sequence[WeightedEdge],
+    pin_io: bool,
+) -> _Network:
+    names = sorted({e.tail for e in edges} | {e.head for e in edges})
+    index = {name: i for i, name in enumerate(names)}
+    src: List[int] = []
+    dst: List[int] = []
+    cost: List[int] = []
+
+    def arc(b: int, a: int, c: int) -> int:
+        src.append(b)
+        dst.append(a)
+        cost.append(c)
+        return len(cost) - 1
+
+    for e in edges:  # legality: ρ(tail) − ρ(head) ≤ w(e)
+        arc(index[e.head], index[e.tail], e.weight)
+    n_rho = len(names)
+    if pin_io:
+        # Leiserson–Saxe host: every PI and virtual PO sink shares a lag
+        from ..graphs.build import is_po_node
+        from ..graphs.digraph import NodeKind
+
+        host = n_rho
+        n_rho += 1
+        for i, name in enumerate(names):
+            if is_po_node(name) or (
+                graph.has_node(name) and graph.kind(name) is NodeKind.INPUT
+            ):
+                arc(host, i, 0)
+                arc(i, host, 0)
+    by_net: Dict[str, List[int]] = {}
+    for i, e in enumerate(edges):
+        if e.via_nets[0] in cut_set:
+            by_net.setdefault(e.via_nets[0], []).append(i)
+    nets = sorted(by_net)
+    driver: List[int] = []
+    req: List[List[int]] = []
+    direct: List[int] = []
+    for j, net in enumerate(nets):
+        y = n_rho + j
+        ids = by_net[net]
+        driver.append(index[edges[ids[0]].tail])
+        req.append(
+            [arc(index[edges[i].head], y, edges[i].weight - 1) for i in ids]
+        )
+        direct.append(arc(driver[j], y, 0))
+    return _Network(names, n_rho, src, dst, cost, nets, driver, req, direct)
+
+
+def _reverse_postorder(
+    n: int, out: List[List[int]], r_dst: List[int]
+) -> List[int]:
+    """DFS reverse postorder: every arc off a cycle points forward."""
+    seen = bytearray(n)
+    post: List[int] = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        stack = [(s, iter(out[s]))]
+        while stack:
+            v, arcs = stack[-1]
+            for r in arcs:
+                u = r_dst[r]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append((u, iter(out[u])))
+                    break
+            else:
+                stack.pop()
+                post.append(v)
+    post.reverse()
+    return post
+
+
+def _spfa(
+    n: int,
+    out: List[List[int]],
+    r_src: List[int],
+    r_dst: List[int],
+    r_cost: List[int],
+    order: List[int],
+) -> Tuple[Optional[List[int]], Optional[List[int]], int]:
+    """Queue-based shortest paths from the all-zero start.
+
+    ``out[v]`` lists the residual arcs leaving ``v``; the queue starts
+    with every node, in ``order``.  Returns
+    ``(dist, None, relaxations)`` at the fixed point — the greatest one
+    below zero, whatever the relaxation order — or ``(None, cycle,
+    relaxations)`` with the arcs of a negative cycle.  Every ``n``
+    relaxations the predecessor graph is searched for a cycle: any cycle
+    there is negative, and while a negative cycle is reachable the
+    distances fall without bound, which eventually keeps one there.
     """
     dist = [0] * n
-    inq = bytearray([1]) * n
-    queue = deque(range(n))
+    pred = [-1] * n
+    inq = bytearray(b"\x01") * n
+    queue = deque(order)
     relaxations = 0
-    budget = 8 * (n + len(cost)) + 64
+    next_walk = n
     while queue:
         v = queue.popleft()
         inq[v] = 0
         dv = dist[v]
-        for p in range(adj_start[v], adj_start[v + 1]):
-            ci = adj_cons[p]
-            nd = dv + cost[ci]
-            u = con_u[ci]
+        for r in out[v]:
+            u = r_dst[r]
+            nd = dv + r_cost[r]
             if nd < dist[u]:
                 dist[u] = nd
+                pred[u] = r
                 relaxations += 1
-                if relaxations > budget:
-                    return None, relaxations
                 if not inq[u]:
                     inq[u] = 1
                     queue.append(u)
-    return dist, relaxations
+        if relaxations >= next_walk:
+            next_walk = relaxations + n
+            cycle = _pred_cycle(pred, r_src)
+            if cycle is not None:
+                return None, cycle, relaxations
+    return dist, None, relaxations
 
 
-def _bf_rounds(
-    n: int,
-    con_u: List[int],
-    con_v: List[int],
-    cost: List[int],
-    counters: Optional[Dict[str, int]] = None,
-) -> Tuple[Optional[List[int]], Optional[List[int]]]:
-    """Interned replay of :func:`bellman_ford_constraints`.
-
-    Runs the reference's dense Gauss–Seidel passes on integer arrays —
-    same constraint order, same in-pass updates, so ``dist``/``pred``
-    evolve identically — but *fast-forwards* through the periodic tail
-    that dominates infeasible systems.  Once negative cycles are the
-    only thing still relaxing, the firing pattern repeats with some
-    period ``P`` (set by how the relaxation wavefront rotates around the
-    starved cycles) and every ``dist`` shifts by a constant per-period
-    delta.
-
-    Every pass appends its firing sequence and firing deltas to a
-    history ring, so when a sequence hash recurs ``P`` passes later the
-    replay verifies periodicity *immediately from history* — the two
-    most recent periods must fire identical sequences and produce
-    identical per-node deltas — instead of simulating 2·``P`` further
-    recording passes the way earlier revisions did.  Every scan-time
-    value is an affine function (unit coefficient) of the period-start
-    ``dist``, so all margins move linearly per period: the replay caps
-    the jump at the first period where any margin would change firing
-    sign and advances ``dist`` analytically by whole periods.  Fired
-    margins come straight from the ring; idle constraints are screened
-    by their per-period drift (``Δdist[v] − Δdist[u]``, almost always
-    ≥ 0) and only the drifting-negative few have their exact scan-time
-    margins reconstructed by replaying one period of firing events.
-    ``pred`` and the last-updated node are unchanged across jumped
-    periods because every one of them fires the recorded pattern.  The
-    final ``pred`` state, the canonical negative cycle walked from it,
-    and any feasible assignment are therefore bit-identical to the
-    reference without simulating all ``n`` passes.
-
-    ``counters`` (optional) accumulates ``"firings"`` and ``"jumps"``
-    for perf accounting.
-    """
-    m = len(cost)
-    dist = [0] * n
-    pred = [-1] * n
-    updated = -1
-    it = 0
-    # (v, c, u, idx) per constraint: one flat tuple unpack per scan beats
-    # indexed array reads (and enumerate's nested unpack) in the pass
-    # loop, which dominates runtime
-    quads = list(zip(con_v, cost, con_u, range(m)))
-    seq_ring: List[List[int]] = []  # firing index list per retained pass
-    mg_ring: List[List[int]] = []  # firing deltas, aligned with seq_ring
-    base = 1  # pass number of seq_ring[0]; passes are numbered from 1
-    last_seen: Dict[int, int] = {}  # firing-sequence hash → latest pass
-    next_try = 0  # skip re-verification until this pass after a miss
-    firings = 0
-    jumps = 0
-    skipped = 0  # passes fast-forwarded rather than simulated
-    tracking = True  # ring bookkeeping; disabled when jumping stops paying
-    while it < n:
-        if tracking and it > n // 2 and jumps == 0:
-            # quasi-periodic tail (many interacting cycles, no exact
-            # recurrence): drop the per-firing history bookkeeping and
-            # finish with bare reference passes
-            tracking = False
-            seq_ring.clear()
-            mg_ring.clear()
-            last_seen.clear()
-        if not tracking:
-            updated = -1
-            nfire = 0
-            for v, c, u, idx in quads:
-                nv = dist[v] + c
-                if nv < dist[u]:
-                    dist[u] = nv
-                    pred[u] = idx
-                    nfire += 1
-                    updated = u
-            it += 1
-            if updated < 0:
-                if counters is not None:
-                    counters["firings"] = counters.get("firings", 0) + firings
-                    counters["jumps"] = counters.get("jumps", 0) + jumps
-                    counters["passes"] = (
-                        counters.get("passes", 0) + (it - skipped)
-                    )
-                return dist, None
-            firings += nfire
-            continue
-        seq: List[int] = []
-        mgs: List[int] = []
-        fire = seq.append
-        dmg = mgs.append
-        updated = -1
-        for v, c, u, idx in quads:
-            nv = dist[v] + c
-            if nv < dist[u]:
-                dmg(nv - dist[u])
-                dist[u] = nv
-                pred[u] = idx
-                fire(idx)
-                updated = u
-        it += 1
-        if updated < 0:
-            if counters is not None:
-                counters["firings"] = counters.get("firings", 0) + firings
-                counters["jumps"] = counters.get("jumps", 0) + jumps
-                counters["passes"] = counters.get("passes", 0) + (it - skipped)
-            return dist, None
-        firings += len(seq)
-        if len(seq_ring) >= _RING_LIMIT:
-            del seq_ring[: _RING_LIMIT // 4]
-            del mg_ring[: _RING_LIMIT // 4]
-            base += _RING_LIMIT // 4
-        seq_ring.append(seq)
-        mg_ring.append(mgs)
-        h = hash(tuple(seq))
-        prev = last_seen.get(h, 0)
-        last_seen[h] = it
-        if prev < base:
-            continue
-        period = it - prev
-        top = len(seq_ring)  # ring index of pass ``it`` is top − 1
-        if 2 * period > top:
-            continue  # need two full periods of retained history
-        if n - it <= period or it < next_try:
-            continue  # nothing worth jumping, or cooling down after a miss
-        # verify exact repetition: passes (it−2P, it−P] vs (it−P, it]
-        ok = True
-        for o in range(1, period + 1):
-            if seq_ring[top - o] != seq_ring[top - period - o]:
-                ok = False
+def _pred_cycle(pred: List[int], r_src: List[int]) -> Optional[List[int]]:
+    """Arcs of a cycle in the predecessor graph, or ``None``."""
+    stamp = [0] * len(pred)
+    for s in range(len(pred)):
+        v = s
+        while not stamp[v]:
+            stamp[v] = s + 1
+            r = pred[v]
+            if r < 0:
                 break
-        if not ok:
-            continue  # transient still in window; recurrences keep coming
-        delta: Dict[int, int] = {}  # per-node dist delta over last period
-        for q in range(top - period, top):
-            sq = seq_ring[q]
-            mq = mg_ring[q]
-            for j in range(len(sq)):
-                u = con_u[sq[j]]
-                delta[u] = delta.get(u, 0) + mq[j]
-        prev_delta: Dict[int, int] = {}
-        for q in range(top - 2 * period, top - period):
-            sq = seq_ring[q]
-            mq = mg_ring[q]
-            for j in range(len(sq)):
-                u = con_u[sq[j]]
-                prev_delta[u] = prev_delta.get(u, 0) + mq[j]
-        if delta != prev_delta:
-            next_try = it + period
-            continue
-        # margins move linearly per period: jump whole periods to just
-        # before the first firing-sign flip (or to pass n)
-        t = (n - it) // period
-        # (A) fired constraints: ring margins, aligned by the verified
-        # identical sequences; a rising margin stops firing at mg+t·d ≥ 0
-        for o in range(1, period + 1):
-            if t <= 0:
-                break
-            lm = mg_ring[top - o]
-            pm = mg_ring[top - period - o]
-            if lm == pm:  # C-speed: no fired margin moved at this offset
-                continue
-            for mg, p in zip(lm, pm):
-                if mg > p:
-                    safe = (-mg - 1) // (mg - p)
-                    if safe < t:
-                        t = safe
-        # (B) idle constraints: only those whose margin drifts negative
-        # (delta[v] − delta[u] < 0) can start firing; reconstruct their
-        # exact scan-time margins by replaying the period's firing events
-        if t > 0 and delta:
-            cands: List[Tuple[int, int]] = []
-            for j in range(m):
-                d = delta.get(con_v[j], 0) - delta.get(con_u[j], 0)
-                if d < 0:
-                    cands.append((j, d))
-            if cands:
-                t = _idle_flip_cap(
-                    t, period, top, seq_ring, mg_ring,
-                    dist, delta, cands, con_u, con_v, cost,
-                )
-        if t > 0:
-            for x, d in delta.items():
-                dist[x] += t * d
-            it += t * period
-            skipped += t * period
-            jumps += 1
-            seq_ring.clear()
-            mg_ring.clear()
-            base = it + 1
-            last_seen.clear()
-            next_try = 0
+            v = r_src[r]
         else:
-            next_try = it + period
-    # negative cycle: walk predecessors n times to land on the cycle
-    if counters is not None:
-        counters["firings"] = counters.get("firings", 0) + firings
-        counters["jumps"] = counters.get("jumps", 0) + jumps
-        counters["passes"] = counters.get("passes", 0) + (it - skipped)
-    node = updated
-    for _ in range(n):
-        node = con_v[pred[node]]
-    cycle: List[int] = []
-    start_node = node
-    while True:
-        idx = pred[node]
-        cycle.append(idx)
-        node = con_v[idx]
-        if node == start_node:
-            break
-    return None, cycle
+            if stamp[v] == s + 1:  # this walk closed on itself
+                cycle = []
+                x = v
+                while True:
+                    r = pred[x]
+                    cycle.append(r)
+                    x = r_src[r]
+                    if x == v:
+                        return cycle
+    return None
 
 
-def _idle_flip_cap(
-    t: int,
-    period: int,
-    top: int,
-    seq_ring: List[List[int]],
-    mg_ring: List[List[int]],
-    dist: List[int],
-    delta: Dict[int, int],
-    cands: List[Tuple[int, int]],
-    con_u: List[int],
-    con_v: List[int],
-    cost: List[int],
-) -> int:
-    """Cap the period jump at the first idle-constraint sign flip.
+def _cancel_cycles(net: _Network) -> Tuple[List[int], int, int]:
+    """Production cycle cancelling: SPFA rounds over a folded residual.
 
-    ``cands`` holds ``(constraint, drift)`` pairs with negative
-    per-period margin drift.  Walks the last period's passes once,
-    merging the (index-ordered) firing events with the (index-ordered)
-    candidates, so each candidate's *scan-time* margin — the value the
-    dense reference would have computed mid-pass — is reconstructed
-    exactly.  An idle margin ``mg ≥ 0`` drifting by ``d < 0`` per period
-    first fires after ``mg // (−d)`` more periods.  Only nodes in
-    ``delta`` ever move during a verified period, so all other operands
-    read the (end-of-period) ``dist`` directly.
+    Residual arc ``2a`` is arc ``a`` forward, ``2a + 1`` its reverse
+    (present while ``a`` carries flow).  A folded net's requirement arcs
+    end at its driver and its direct arc is implicit: its one unit of
+    flow is on it.  Returns ``(dist, rounds, relaxations)``.
     """
-    cur = {x: dist[x] - d for x, d in delta.items()}  # period-start values
-    for q in range(top - period, top):
-        fired = seq_ring[q]
-        margins = mg_ring[q]
-        fired_set = set(fired)
-        ei = 0
-        ne = len(fired)
-        for j, d in cands:
-            while ei < ne and fired[ei] < j:
-                u = con_u[fired[ei]]
-                cur[u] = cur[u] + margins[ei]
-                ei += 1
-            if j in fired_set:
-                continue  # fired offsets are handled from the ring
-            v = con_v[j]
-            u = con_u[j]
-            mg = (
-                (cur[v] if v in cur else dist[v])
-                + cost[j]
-                - (cur[u] if u in cur else dist[u])
-            )
-            safe = mg // (-d)
-            if safe < t:
-                t = safe
-                if t <= 0:
-                    return 0
-        while ei < ne:
-            u = con_u[fired[ei]]
-            cur[u] = cur[u] + margins[ei]
-            ei += 1
-    return t
+    src, dst, cost = net.src, net.dst, net.cost
+    m = len(cost)
+    r_src = [0] * (2 * m)
+    r_src[0::2] = src
+    r_src[1::2] = dst
+    r_dst = [0] * (2 * m)
+    r_dst[0::2] = dst
+    r_dst[1::2] = src
+    r_cost = [0] * (2 * m)
+    r_cost[0::2] = cost
+    r_cost[1::2] = [-c for c in cost]
+    owner = [-1] * m  # net of a requirement or direct arc
+    for j, arcs in enumerate(net.req):
+        owner[net.direct[j]] = j
+        for a in arcs:
+            owner[a] = j
+            r_dst[2 * a] = net.driver[j]
+    out: List[List[int]] = [[] for _ in range(net.n_vars)]
+    direct = set(net.direct)
+    for a in range(m):
+        if a not in direct:
+            out[src[a]].append(2 * a)
+    folded = [True] * len(net.nets)
+    flow = [0] * m
+    # queued in this order, the first sweep settles the acyclic part of
+    # the network (the combinational logic) in one pass; name order
+    # took 380× more relaxations on a 50k-gate corpus circuit
+    order = _reverse_postorder(net.n_vars, out, r_dst)
+    rounds = 0
+    relaxations = 0
+    while True:
+        rounds = _next_round(rounds, net)
+        dist, cycle, relaxed = _spfa(
+            net.n_vars, out, r_src, r_dst, r_cost, order
+        )
+        relaxations += relaxed
+        if cycle is None:
+            return dist, rounds, relaxations
+        for r in cycle:
+            a = r >> 1
+            j = owner[a]
+            if r & 1:
+                flow[a] -= 1
+                if not flow[a]:
+                    out[dst[a]].remove(r)
+                continue
+            if j >= 0 and a == net.direct[j]:  # the unit returns: fold
+                folded[j] = True
+                out[src[a]].remove(r)
+                for b in net.req[j]:
+                    r_dst[2 * b] = net.driver[j]
+                continue
+            if not flow[a]:
+                out[dst[a]].append(r + 1)
+            flow[a] += 1
+            if j >= 0 and folded[j]:  # the unit leaves its direct arc
+                folded[j] = False
+                out[net.driver[j]].append(2 * net.direct[j])
+                for b in net.req[j]:
+                    r_dst[2 * b] = dst[b]
+
+
+def _cancel_cycles_dense(net: _Network) -> Tuple[List[int], int, int]:
+    """Reference twin: the same network, unfolded, with every cycle found
+    by the dense canonical :func:`bellman_ford_constraints`."""
+    variables = list(range(net.n_vars))
+    flow = [0] * len(net.cost)
+    for a in net.direct:
+        flow[a] = 1
+    rounds = 0
+    while True:
+        rounds = _next_round(rounds, net)
+        constraints: List[Tuple[int, int, int]] = []
+        moves: List[Tuple[int, int]] = []  # (arc, flow change) per constraint
+        for a, (b, c, k) in enumerate(zip(net.src, net.dst, net.cost)):
+            constraints.append((c, b, k))
+            moves.append((a, 1))
+            if flow[a]:
+                constraints.append((b, c, -k))
+                moves.append((a, -1))
+        dist, cycle = bellman_ford_constraints(variables, constraints)
+        if dist is not None:
+            return [dist[v] for v in variables], rounds, 0
+        for ci in cycle:
+            a, d = moves[ci]
+            flow[a] += d
+
+
+def _next_round(rounds: int, net: _Network) -> int:
+    """Count a round; every cancelled cycle lowers the flow cost by at
+    least 1 and the optimum is ≥ −(constrained nets), so more rounds
+    than that + 1 means the edge list has a negative-weight cycle."""
+    if rounds > len(net.nets):
+        raise RetimingError(
+            f"cut retiming did not converge: {rounds} negative cycles "
+            f"cancelled for {len(net.nets)} constrained cut nets; the "
+            "register-weighted edges hold a negative-weight cycle"
+        )
+    return rounds + 1
+
+
+def _solve(
+    graph: CircuitGraph,
+    cut_nets: Iterable[str],
+    edges: Optional[Sequence[WeightedEdge]],
+    pin_io: bool,
+    cancel: Callable[[_Network], Tuple[List[int], int, int]],
+) -> RetimingSolution:
+    if edges is None:
+        edges = register_weighted_edges(graph)
+    cut_set = set(cut_nets)
+    net = _network(graph, cut_set, edges, pin_io)
+    dist, rounds, relaxations = cancel(net)
+    perf_count("bf_relaxations", relaxations)
+    perf_count("retiming_rounds", rounds)
+    retiming = Retiming(edges=tuple(edges), rho=dict(zip(net.names, dist)))
+    retiming.assert_legal()
+    covered: Set[str] = set()
+    dropped: Set[str] = set()
+    for j, name in enumerate(net.nets):
+        du = dist[net.driver[j]]
+        if all(du <= dist[net.src[a]] + net.cost[a] for a in net.req[j]):
+            covered.add(name)
+        else:
+            dropped.add(name)
+    return RetimingSolution(
+        retiming=retiming,
+        covered_cuts=covered,
+        dropped_cuts=dropped,
+        iterations=rounds,
+        unconstrained_cuts=cut_set - covered - dropped,
+    )
 
 
 def solve_cut_retiming(
     graph: CircuitGraph,
     cut_nets: Iterable[str],
     edges: Optional[Sequence[WeightedEdge]] = None,
-    max_iterations: int = 100000,
     pin_io: bool = False,
-    use_compiled: bool = True,
-    solver: str = "auto",
 ) -> RetimingSolution:
     """Find a legal retiming registering as many cut nets as possible.
 
@@ -484,214 +478,31 @@ def solve_cut_retiming(
             The paper's accounting leaves this off — it accepts latency
             shifts on input/output paths in exchange for covering more
             cuts (Eq. 1 "registers can be added arbitrarily").
-        use_compiled: solve each round over the interned edge arrays with
-            certificate-skipped warm-started rounds (default); ``False``
-            runs the reference dense Bellman–Ford every round.  Results
-            (lags, covered/dropped cuts, iteration count) are
-            bit-identical.
-        solver: ``"auto"`` (default) runs the compiled path above;
-            ``"reference"`` is an alias for ``use_compiled=False``;
-            ``"mcf"`` routes to the experimental min-cost-flow backend
-            (:func:`repro.retiming.mincost.solve_cut_retiming_mcf`),
-            which minimises total requirement shortfall in one
-            circulation and is *not* bit-identical to the greedy
-            reference drop order.
 
     Returns:
         A :class:`RetimingSolution`; its ``retiming`` is legal, every
-        edge carrying a covered cut holds ≥ 1 register, and dropped cuts
-        are exactly those whose requirements sat on register-starved (or,
-        with ``pin_io``, latency-pinned) paths.  Cut nets that never
-        generate a constraint are reported in ``unconstrained_cuts``.
+        edge carrying a covered cut holds ≥ 1 register, and no legal
+        retiming covers more cuts (with ``pin_io``: no I/O-pinned one).
+        Cut nets that never generate a constraint are reported in
+        ``unconstrained_cuts``.
+
+    Raises:
+        RetimingError: the edge list holds a negative-weight cycle.
     """
-    from ..graphs.build import is_po_node
-
-    if solver not in ("auto", "reference", "mcf"):
-        raise ValueError(f"unknown retiming solver {solver!r}")
-    if solver == "mcf":
-        from .mincost import solve_cut_retiming_mcf
-
-        return solve_cut_retiming_mcf(
-            graph,
-            cut_nets,
-            edges=edges,
-            max_iterations=max_iterations,
-            pin_io=pin_io,
-        )
-    if solver == "reference":
-        use_compiled = False
-
-    if edges is None:
-        edges = register_weighted_edges(graph)
-    cut_set = set(cut_nets)
-    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
-    io_constraints: List[Tuple[str, str, int]] = []
-    if pin_io:
-        host = "__host__"
-        while host in nodes:  # pragma: no cover - pathological name clash
-            host += "_"
-        nodes.append(host)
-        from ..graphs.digraph import NodeKind
-
-        for n in nodes[:-1]:
-            is_io = is_po_node(n) or (
-                graph.has_node(n) and graph.kind(n) is NodeKind.INPUT
-            )
-            if is_io:
-                io_constraints.append((n, host, 0))
-                io_constraints.append((host, n, 0))
-
-    # requirement per edge: 1 when the edge's first via-net is a cut
-    required: Dict[int, int] = {}
-    cut_edges: Dict[str, List[int]] = {}
-    for i, e in enumerate(edges):
-        first = e.via_nets[0]
-        if first in cut_set:
-            required[i] = 1
-            cut_edges.setdefault(first, []).append(i)
-
-    # interned constraint graph, built once: tails/heads are fixed across
-    # rounds, only the per-edge costs change when a requirement is dropped
-    n_vars = len(nodes)
-    node_idx = {name: i for i, name in enumerate(nodes)}
-    con_u: List[int] = []  # constraint target (the u of x_u − x_v ≤ c)
-    con_v: List[int] = []  # constraint relax source
-    for e in edges:
-        con_u.append(node_idx[e.tail])
-        con_v.append(node_idx[e.head])
-    for u, v, _c in io_constraints:
-        con_u.append(node_idx[u])
-        con_v.append(node_idx[v])
-    by_src: List[List[int]] = [[] for _ in range(n_vars)]
-    for ci, v in enumerate(con_v):
-        by_src[v].append(ci)
-    adj_start: List[int] = [0] * (n_vars + 1)
-    adj_cons: List[int] = []
-    for v in range(n_vars):
-        adj_cons.extend(by_src[v])
-        adj_start[v + 1] = len(adj_cons)
-    io_costs = [c for _u, _v, c in io_constraints]
-
-    # incremental cost array: rebuilt never, bumped by 1 per dropped edge
-    cost = [e.weight - required.get(i, 0) for i, e in enumerate(edges)]
-    cost += io_costs
-
-    dropped: Set[str] = set()
-    iterations = 0
-    total_relaxations = 0
-    cert_skips = 0
-    skip_feasible = False  # certificate: last cycle still provably negative
-    replay_counters: Dict[str, int] = {"firings": 0, "jumps": 0}
-    while True:
-        iterations += 1
-        if iterations > max_iterations:
-            raise RetimingError(
-                f"cut-retiming failed to converge after {iterations - 1} "
-                f"rounds: {len(dropped)} cuts dropped so far, "
-                f"{len(required)} edge requirements remaining"
-            )
-        if use_compiled:
-            dist = None
-            if skip_feasible:
-                cert_skips += 1
-            else:
-                dist, relaxations = _spfa_feasible(
-                    n_vars, adj_start, adj_cons, con_u, cost
-                )
-                total_relaxations += relaxations
-                if dist is not None:
-                    rho = dict(zip(nodes, dist))
-                    break
-            # infeasible (certified or suspected): re-derive the
-            # *canonical* negative cycle via the sparse reference replay,
-            # so the victim choice matches bellman_ford_constraints
-            # exactly; if a feasibility cap tripped on a feasible system
-            # the replay's assignment is that same unique fixed point
-            dist, cycle = _bf_rounds(
-                n_vars, con_u, con_v, cost, counters=replay_counters
-            )
-            if dist is not None:
-                rho = dict(zip(nodes, dist))
-                break
-        else:
-            constraints = [
-                (e.tail, e.head, e.weight - required.get(i, 0))
-                for i, e in enumerate(edges)
-            ] + io_constraints
-            solution, cycle = bellman_ford_constraints(nodes, constraints)
-            if solution is not None:
-                rho = solution
-                break
-        # drop one required cut on the offending cycle
-        req_on_cycle = [i for i in cycle if required.get(i, 0) > 0]
-        if not req_on_cycle:
-            raise RetimingError(
-                "negative cycle without register requirements: the circuit "
-                "has a combinational cycle or inconsistent edge weights"
-            )
-        victim_edge = req_on_cycle[0]
-        victim_net = edges[victim_edge].via_nets[0]
-        dropped.add(victim_net)
-        victims = [i for i in cut_edges.get(victim_net, ()) if i in required]
-        if use_compiled:
-            # cycle-deficit certificate: the drop raises each victim
-            # edge's cost by 1, so the cycle's new total is its old total
-            # plus the overlap — still negative means the next round is
-            # provably infeasible and can skip the feasibility attempt
-            deficit = sum(cost[i] for i in cycle)
-            cyc_set = set(cycle)
-            deficit += sum(1 for i in victims if i in cyc_set)
-            skip_feasible = deficit < 0
-            for i in victims:
-                cost[i] += 1
-        for i in victims:
-            required.pop(i, None)
-
-    total_relaxations += replay_counters["firings"]
-    perf_count("bf_relaxations", total_relaxations)
-    perf_count("retiming_rounds", iterations)
-    perf_count("retiming_cert_skips", cert_skips)
-    perf_count("retiming_replay_jumps", replay_counters["jumps"])
-    retiming = Retiming(edges=tuple(edges), rho=rho)
-    retiming.assert_legal()
-    covered: Set[str] = set()
-    for net, idxs in cut_edges.items():
-        if net in dropped:
-            continue
-        if all(retimed_weight(edges[i], rho) >= 1 for i in idxs):
-            covered.add(net)
-        else:  # pragma: no cover - defensive; solver should guarantee this
-            dropped.add(net)
-    # cuts whose net never appears as a via head (e.g. dangling) generated
-    # no constraint: neither covered nor dropped — reported separately
-    unconstrained = cut_set - covered - dropped
-    return RetimingSolution(
-        retiming=retiming,
-        covered_cuts=covered,
-        dropped_cuts=dropped,
-        iterations=iterations,
-        unconstrained_cuts=unconstrained,
-    )
+    return _solve(graph, cut_nets, edges, pin_io, _cancel_cycles)
 
 
 def solve_cut_retiming_reference(
     graph: CircuitGraph,
     cut_nets: Iterable[str],
     edges: Optional[Sequence[WeightedEdge]] = None,
-    max_iterations: int = 100000,
     pin_io: bool = False,
 ) -> RetimingSolution:
     """Reference twin of :func:`solve_cut_retiming`.
 
-    Solves every round with the dense :func:`bellman_ford_constraints`
-    instead of the certificate-skipped incremental rounds; results are
-    bit-identical (the kernel-equivalence suite asserts this end to end).
+    Cancels cycles on the unfolded network, each found by the dense
+    :func:`bellman_ford_constraints`.  Lags and the covered, dropped and
+    unconstrained sets are bit-identical to the production solver; only
+    the round count may differ.
     """
-    return solve_cut_retiming(
-        graph,
-        cut_nets,
-        edges=edges,
-        max_iterations=max_iterations,
-        pin_io=pin_io,
-        use_compiled=False,
-    )
+    return _solve(graph, cut_nets, edges, pin_io, _cancel_cycles_dense)

@@ -1,19 +1,7 @@
-"""Solver-independent verification of a cut-retiming drop set.
+"""Output oracle for a cut-retiming solution.
 
-The greedy deficit-certificate loop (:mod:`repro.retiming.solve`) and
-the min-cost-flow backend (:mod:`repro.retiming.mincost`) may resolve a
-register-starved circuit by dropping *different* cut sets — mcf
-minimises the total requirement shortfall in one circulation, greedy
-drops victims in negative-cycle discovery order.  Demanding
-sequence-equality (or even set-equality) between the two drop sets is
-therefore the wrong contract, and it is what made ``--retiming-solver
-mcf`` unusable inside loops that cross-check results (the differential
-fuzzer, and now the anneal refinement tier, which re-retimes after
-every accepted move).
-
-What any solver *must* satisfy — regardless of which cuts it chose to
-sacrifice — is the **legal minimal cover** contract implemented by
-:func:`verify_drop_set`:
+:func:`verify_drop_set` checks what a solver *emits*, using nothing of
+how it solved: the **legal minimal cover** contract.
 
 * the retiming is legal (``w_ρ(e) ≥ 0`` on every edge);
 * ``covered ⊎ dropped ⊎ unconstrained`` partitions the requested cut
@@ -24,10 +12,9 @@ sacrifice — is the **legal minimal cover** contract implemented by
   final lags (such a cut could be covered for free, so reporting it
   dropped would overstate the MUXed A_CELL cost).
 
-The mcf backend satisfies minimality by construction (it classifies by
-final weight); the greedy loop keeps its negative-cycle victims dropped
-even when the final lags incidentally register them, so greedy callers
-pass ``minimal=False`` and accept the (sound, conservative) victim set.
+The exact solver (:mod:`repro.retiming.solve`) classifies every cut by
+its final weights, so its output is minimal by construction; the
+oracle still recounts it from the edge list, as the fuzz harness does.
 """
 
 from __future__ import annotations
@@ -46,7 +33,6 @@ def verify_drop_set(
     cut_nets: Iterable[str],
     solution,
     edges: Optional[Sequence[WeightedEdge]] = None,
-    minimal: bool = True,
 ) -> Optional[str]:
     """Check ``solution`` against the legal-minimal-cover contract.
 
@@ -56,12 +42,7 @@ def verify_drop_set(
             the constraint system).
         cut_nets: the cut universe that was submitted to the solver.
         solution: a :class:`~repro.retiming.solve.RetimingSolution`.
-        edges: precomputed ``register_weighted_edges(graph)`` to reuse
-            (the warm-start hook shared with the solvers).
-        minimal: also require that no dropped cut is fully registered
-            under the final lags.  ``True`` for the mcf backend (holds
-            by construction); ``False`` for the greedy reference, whose
-            victim set is chosen mid-loop and deliberately kept.
+        edges: precomputed ``register_weighted_edges(graph)`` to reuse.
 
     Returns:
         ``None`` when the contract holds, else a human-readable
@@ -109,11 +90,10 @@ def verify_drop_set(
                 f"cut {net!r} claimed unconstrained but generates a "
                 f"requirement on edge {e.tail}->{e.head}"
             )
-    if minimal:
-        free = sorted(n for n, sat in fully_registered.items() if sat)
-        if free:
-            return (
-                f"drop set is not minimal: {free[:4]} already hold a "
-                "register on every requirement edge under the final lags"
-            )
+    free = sorted(n for n, sat in fully_registered.items() if sat)
+    if free:
+        return (
+            f"drop set is not minimal: {free[:4]} already hold a "
+            "register on every requirement edge under the final lags"
+        )
     return None

@@ -3,17 +3,16 @@
 The service's throughput on repeat traffic rides on the hot tier
 holding the working set, so the LRU's bounds, eviction order, and stats
 must be exactly right — these tests pin them down without any service
-in the loop.  The disk tier's ``get_bytes`` is covered here too.
+in the loop.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
 
-from repro.exec.cache import HotCache, ResultCache
+from repro.exec.cache import HotCache
 
 
 def _key(i: int) -> str:
@@ -137,22 +136,3 @@ def test_concurrent_put_get_is_safe_and_bounded():
     assert not any(t.is_alive() for t in threads)
     assert len(hot) <= 16
     assert hot.payload_bytes == len(hot) * 16
-
-
-# ----------------------------------------------------------------------
-# disk-tier promotion path
-# ----------------------------------------------------------------------
-def test_result_cache_get_bytes_is_canonical_sorted_json(tmp_path):
-    cache = ResultCache(tmp_path)
-    payload = {"b": 2, "a": 1, "nested": {"z": 0, "y": [1, 2]}}
-    cache.put(_key(0), payload)
-    blob = cache.get_bytes(_key(0))
-    assert blob == json.dumps(payload, sort_keys=True).encode("utf-8")
-    assert json.loads(blob) == payload
-    assert cache.stats.hits == 1
-
-
-def test_result_cache_get_bytes_miss_accounting(tmp_path):
-    cache = ResultCache(tmp_path)
-    assert cache.get_bytes(_key(1)) is None
-    assert cache.stats.misses == 1

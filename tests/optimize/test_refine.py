@@ -147,17 +147,24 @@ class TestDeterminism:
 
 
 class TestInnerSolver:
-    def test_mcf_backend_usable(self):
-        """Satellite 1 payoff: mcf is admissible as the inner solver —
-        its drop sets are verified as legal minimal covers mid-run."""
+    def test_reported_uncovered_count_is_the_exact_solve(self):
+        """The final state's uncovered count comes from one exact solve,
+        whose output passes the legal-minimal-cover oracle."""
+        from repro.graphs.paths import register_weighted_edges
+        from repro.retiming.solve import solve_cut_retiming
+        from repro.retiming.verify import verify_drop_set
+
         graph, scc_index, partition, config = _seed_partition(
             "s510", budget=1.0
         )
-        res = anneal_refine(
-            graph, scc_index, partition, config, name="s510", solver="mcf"
-        )
+        res = anneal_refine(graph, scc_index, partition, config, name="s510")
         assert res.sigma_after <= res.sigma_before + 1e-9
         res.partition.validate()
+        cuts = res.partition.cut_nets()
+        edges = register_weighted_edges(graph)
+        solution = solve_cut_retiming(graph, cuts, edges=edges)
+        assert verify_drop_set(graph, cuts, solution, edges=edges) is None
+        assert res.uncovered_after == len(solution.dropped_cuts)
 
 
 class TestMercedIntegration:

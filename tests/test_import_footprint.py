@@ -29,7 +29,6 @@ NEVER_LOADED = (
     "asyncio",
     "repro.service.server",
     "repro.analysis.concurrency",
-    "repro.retiming.mincost",
     "repro.retiming.initial_state",
 )
 
