@@ -10,10 +10,9 @@ in the gate-level simulation.
 import pytest
 
 from conftest import emit
-from repro import Merced, MercedConfig
-from repro.cbit import insert_test_hardware
+from repro import MercedConfig
 from repro.circuits import load_circuit
-from repro.core import format_table
+from repro.core import compile_circuit, format_table
 from repro.faults import full_fault_list
 from repro.ppet import schedule_pipes
 from repro.ppet.structural import run_structural_pipes
@@ -23,15 +22,8 @@ CASES = [("s27", 3)]
 
 def run_case(name, lk):
     circuit = load_circuit(name)
-    report = Merced(MercedConfig(lk=lk, seed=7)).run(circuit)
-    bist = insert_test_hardware(
-        circuit,
-        report.partition,
-        include_scan=True,
-        include_primary_inputs=True,
-        include_primary_outputs=True,
-        dual_mode_controls=True,
-    )
+    arts = compile_circuit(circuit, MercedConfig(lk=lk, seed=7))
+    report, bist = arts.report, arts.bist
     schedule = schedule_pipes(report.partition, report.plan)
     faults = full_fault_list(circuit, include_inputs=False)
     result = run_structural_pipes(bist, schedule, faults=faults)

@@ -1,12 +1,14 @@
 """Emit the test-ready netlist: the BIST compiler's final artifact.
 
-Runs Merced on a circuit, inserts the PPET hardware (A_CELLs on every cut
-net, CBIT chaining, test-mode and scan wiring), writes the result as an
-ISCAS89 ``.bench`` file, and demonstrates all three operating modes by
-simulation:
+Compiles a circuit with ``compile_circuit`` — the same netlist
+``merced --bist-out`` writes: A_CELLs on every cut net, PI generators, PO
+observers, CBIT chaining, per-CBIT ``psa_en_<id>`` role controls, test-mode
+and scan wiring — writes it as an ISCAS89 ``.bench`` file, and
+demonstrates all three operating modes by simulation:
 
-* **normal mode** — bit-identical to the original circuit;
-* **test mode** — the CBIT registers generate/compact autonomously;
+* **normal mode** — bit-identical to the original circuit, whatever the
+  ``psa_en_*`` controls are set to;
+* **test mode** — the CBIT registers generate patterns autonomously;
 * **scan mode** — registers form one shift chain for init and read-out.
 
 Run:
@@ -26,8 +28,8 @@ if (_Path(_SRC) / "repro").is_dir() and _SRC not in sys.path:
 
 import argparse
 
-from repro import Merced, MercedConfig, load_circuit
-from repro.cbit import insert_test_hardware
+from repro import MercedConfig, load_circuit
+from repro.core import compile_circuit
 from repro.netlist import write_bench_file
 from repro.sim import SequentialSimulator, random_input_sequence
 
@@ -40,13 +42,12 @@ def main() -> None:
     args = parser.parse_args()
 
     circuit = load_circuit(args.circuit)
-    report = Merced(MercedConfig(lk=args.lk, seed=7)).run(circuit)
-    bist = insert_test_hardware(circuit, report.partition, include_scan=True)
+    bist = compile_circuit(circuit, MercedConfig(lk=args.lk, seed=7)).bist
 
     print(f"original: {circuit!r}")
     print(f"emitted:  {bist.netlist!r}")
     print(
-        f"inserted: {len(bist.cut_cells)} A_CELLs on cut nets, "
+        f"inserted: {len(bist.cut_cells)} A_CELLs on cut nets and inputs, "
         f"{len(bist.converted_dffs)} DFFs converted, "
         f"{bist.added_area_units} area units "
         f"({bist.added_area_units / circuit.area_units():.0%} of the circuit)"
@@ -64,26 +65,31 @@ def main() -> None:
     seq = random_input_sequence(circuit, 20, seed=11)
     orig_trace = SequentialSimulator(circuit).run(seq)
     bist_sim = SequentialSimulator(bist.netlist)
-    normal = bist_sim.run(
-        [dict(x, test_mode=0, scan_en=0, scan_in=0) for x in seq]
-    )
+    psa_pins = [pi for pi in bist.netlist.inputs if pi.startswith("psa_en_")]
+    # normal mode ignores the role controls: drive them all high
+    normal_mode = dict.fromkeys(psa_pins, 1)
+    normal_mode.update(test_mode=0, scan_en=0, scan_in=0)
+    normal = bist_sim.run([dict(x, **normal_mode) for x in seq])
     same = [t[: len(orig_trace[0])] for t in normal] == orig_trace
     print(f"normal mode bit-identical to original: {same}")
 
+    # test mode with every CBIT a pattern generator (TPG role)
     bist_sim.reset()
+    tpg_mode = dict.fromkeys(psa_pins, 0)
+    tpg_mode.update(test_mode=1, scan_en=0, scan_in=0)
     toggles = {q: set() for q in bist.cut_cells.values()}
     for x in seq:
-        bist_sim.step(dict(x, test_mode=1, scan_en=0, scan_in=0))
+        bist_sim.step(dict(x, **tpg_mode))
         for q in toggles:
             toggles[q].add(bist_sim.state[q])
     print(
         "test mode: all "
-        f"{len(toggles)} cut-net registers generating patterns: "
+        f"{len(toggles)} A_CELL registers generating patterns: "
         f"{all(len(v) == 2 for v in toggles.values())}"
     )
 
     bist_sim.reset()
-    base = {pi: 0 for pi in circuit.inputs}
+    base = {pi: 0 for pi in bist.netlist.inputs}
     chain = bist.chain_order
     for bit in [1] * len(chain):
         bist_sim.step(dict(base, test_mode=1, scan_en=1, scan_in=bit))

@@ -26,9 +26,8 @@ if (_Path(_SRC) / "repro").is_dir() and _SRC not in sys.path:
 
 import argparse
 
-from repro import Merced, MercedConfig, load_circuit
-from repro.cbit import insert_test_hardware
-from repro.core import format_table
+from repro import MercedConfig, load_circuit
+from repro.core import compile_circuit, format_table
 from repro.faults import full_fault_list
 from repro.ppet import run_structural_pipes, schedule_pipes
 
@@ -41,17 +40,10 @@ def main() -> None:
     args = parser.parse_args()
 
     circuit = load_circuit(args.circuit)
-    report = Merced(MercedConfig(lk=args.lk, seed=args.seed)).run(circuit)
+    arts = compile_circuit(circuit, MercedConfig(lk=args.lk, seed=args.seed))
+    report, bist = arts.report, arts.bist
     print(report.render())
 
-    bist = insert_test_hardware(
-        circuit,
-        report.partition,
-        include_scan=True,
-        include_primary_inputs=True,
-        include_primary_outputs=True,
-        dual_mode_controls=True,
-    )
     print(
         f"\nemitted {bist.netlist.name}: "
         f"{len(bist.cut_cells)} cut A_CELLs, "

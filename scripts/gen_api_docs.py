@@ -122,9 +122,10 @@ the rendered report on the exception and machine-readable payloads in
 `exc.lint_diagnostics`; feasibility-class errors — `BUD001`, `BUD003` —
 raise `InfeasiblePartitionError`, structural errors raise
 `AnalysisError`; warnings become perf counters under `--profile`). The
-kernel-invariant linter (`python scripts/lint_kernels.py src/
-[--tests-dir DIR] [--json] [--suppress RULE]`) walks source ASTs for the
-`KRN` rules. Suppress a finding inline with `# lint: disable=RULE`
+code analyzer (`merced lint-code [PATH ...] [--tests-dir DIR] [--json]
+[--suppress RULE]`) walks source ASTs for the kernel-invariant `KRN`
+rules and the `CONC` concurrency rules, gated against a committed
+baseline. Suppress a finding inline with `# lint: disable=RULE`
 (comma-separated ids, or `all`) on the flagged line, per-run with
 `--suppress`, and filter with `--min-severity info|warning|error`.
 """

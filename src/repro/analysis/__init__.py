@@ -9,15 +9,14 @@ JSON renderers, severity thresholds, per-rule suppression):
   and its cached :class:`~repro.graphs.csr.CompiledGraph` before any
   pipeline stage — :func:`lint_gate` is the hard gate inside
   :meth:`repro.core.merced.Merced.run`;
-* the **kernel linter** (:func:`lint_paths`,
-  ``scripts/lint_kernels.py``) walks the source tree's ASTs and
-  enforces the determinism/pairing invariants the compiled kernels
-  rely on (``KRN001``–``KRN004``);
-* the **concurrency analyzer** (:func:`analyze_paths`,
-  ``merced lint-code``) builds per-function CFGs, lock dataflow and
-  call-graph blocking summaries over the same parses and checks the
-  async/thread/signal hazard rules (``CONC001``–``CONC006``) behind a
-  committed-baseline CI gate.
+* the **code analyzer** (:func:`analyze_paths`, ``merced lint-code``)
+  parses the source tree once per file and runs two rule families
+  behind a committed-baseline CI gate: the kernel rules
+  (:func:`lint_source`, ``KRN001``–``KRN004``) enforce the
+  determinism/pairing invariants the compiled kernels rely on, and the
+  concurrency rules build per-function CFGs, lock dataflow and
+  call-graph blocking summaries to check the async/thread/signal
+  hazards (``CONC001``–``CONC006``).
 """
 
 from .diagnostics import (
@@ -42,8 +41,6 @@ from .rules import Rule, RuleContext, rule, rule_catalog
 _LAZY = {
     "HOT_DIRS": "kernel_lint",
     "KERNEL_RULES": "kernel_lint",
-    "kernel_lint_main": "kernel_lint",
-    "lint_paths": "kernel_lint",
     "lint_source": "kernel_lint",
     "CONC_RULES": "concurrency",
     "analyze_paths": "concurrency",
@@ -71,8 +68,6 @@ __all__ = [
     "scc_cut_lower_bound",
     "HOT_DIRS",
     "KERNEL_RULES",
-    "kernel_lint_main",
-    "lint_paths",
     "lint_source",
     "CONC_RULES",
     "analyze_paths",

@@ -20,7 +20,8 @@ plain tests cannot guard statically:
 Findings use the shared :class:`~repro.analysis.diagnostics.Diagnostic`
 model with ``path:line`` locations.  Inline suppression: put
 ``# lint: disable=KRN001`` (comma-separated ids, or ``all``) on the
-flagged line.  The CLI wrapper is ``scripts/lint_kernels.py``.
+flagged line.  The command line is ``merced lint-code``, which runs these
+rules beside the concurrency rules over one parse per file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import ast
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .diagnostics import Diagnostic, DiagnosticReport
+from .diagnostics import Diagnostic
 from .rules import Rule
 
 __all__ = [
@@ -37,9 +38,7 @@ __all__ = [
     "HOT_DIRS",
     "lint_source",
     "lint_tree",
-    "lint_paths",
     "cross_check_references",
-    "kernel_lint_main",
 ]
 
 #: Directories whose modules are deterministic hot paths (KRN001/KRN003).
@@ -466,64 +465,3 @@ def cross_check_references(
                 )
             )
     return diags
-
-
-def lint_paths(
-    paths: Sequence[str],
-    tests_dir: Optional[str] = None,
-) -> DiagnosticReport:
-    """Lint every ``.py`` file under ``paths``; cross-check tests.
-
-    A thin façade over the shared analysis engine restricted to the
-    ``KRN`` family (one parse per file, shared with the concurrency
-    rules when both families run through ``merced lint-code``).
-    """
-    from .concurrency.engine import analyze_paths
-
-    return analyze_paths(paths, tests_dir=tests_dir, families=("KRN",))
-
-
-def kernel_lint_main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI driver behind ``scripts/lint_kernels.py``.
-
-    Exit status 0 when no error-severity finding survives filtering,
-    1 otherwise.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="lint_kernels",
-        description="Lint kernel determinism invariants (KRN001-KRN004).",
-    )
-    parser.add_argument(
-        "paths", nargs="+", help="files or directories to lint"
-    )
-    parser.add_argument(
-        "--tests-dir",
-        default=None,
-        help="tests directory for the KRN004 cross-check "
-        "(default: ./tests when it exists)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--suppress",
-        action="append",
-        default=[],
-        metavar="RULE[,RULE...]",
-        help="drop findings of these rule ids",
-    )
-    args = parser.parse_args(argv)
-
-    tests_dir = args.tests_dir
-    if tests_dir is None and os.path.isdir("tests"):
-        tests_dir = "tests"
-    suppress = [
-        r for chunk in args.suppress for r in chunk.split(",") if r
-    ]
-    report = lint_paths(args.paths, tests_dir=tests_dir).filtered(
-        suppress=suppress
-    )
-    print(report.render_json() if args.json else report.render_text())
-    return 1 if report.has_errors else 0

@@ -75,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap Saturate_Network Dijkstra sources (speed/fidelity knob)",
     )
     parser.add_argument(
-        "--solver",
-        action="store_true",
-        help="use the exact retiming solver for retimability accounting",
-    )
-    parser.add_argument(
         "--selftest",
         action="store_true",
         help="also simulate the PPET self-test session (small circuits)",
@@ -87,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--bist-out",
         metavar="FILE",
-        help="emit the test-ready netlist (A_CELLs + scan) to FILE (.bench)",
+        help="compile and emit the test-ready netlist (A_CELLs, scan, "
+        "PI/PO cells, dual-mode controls) to FILE (.bench)",
     )
     parser.add_argument(
         "--verilog-out",
@@ -103,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retime",
         action="store_true",
-        help="solve and apply the cut retiming; report the register moves",
+        help="compile through retiming and BIST insertion; report the "
+        "register moves and the exact Table 12 retimability",
     )
     parser.add_argument(
         "--profile",
@@ -487,6 +484,44 @@ def _run_sweep(args) -> int:
     return 1 if results and n_failed == len(results) else 0
 
 
+def _run_circuit(args, netlist, config: MercedConfig) -> None:
+    """Partition ``netlist``, or compile it when an output needs to.
+
+    Plain ``merced X`` stays partition-only: only ``--retime`` and
+    ``--bist-out`` pay for the retiming and BIST insertion, and only
+    they can fail on a circuit whose retiming cannot be applied.
+    """
+    emitted = netlist
+    if args.retime or args.bist_out:
+        from .merced import compile_circuit
+
+        arts = compile_circuit(netlist, config)
+        report = arts.report
+        print(arts.summary())
+        if args.bist_out:
+            from ..netlist.bench import write_bench_file
+
+            emitted = arts.bist.netlist
+            write_bench_file(emitted, args.bist_out)
+            print(f"BIST netlist written to {args.bist_out}")
+    else:
+        from .merced import Merced
+
+        report = Merced(config).run(netlist)
+        print(report.render())
+    if args.selftest:
+        from ..ppet.session import PPETSession
+
+        session = PPETSession(netlist, report.partition, report.plan)
+        print()
+        print(session.run().render())
+    if args.verilog_out:
+        from ..netlist.verilog import write_verilog_file
+
+        write_verilog_file(emitted, args.verilog_out)
+        print(f"Verilog written to {args.verilog_out}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``merced`` console script; returns the exit code."""
     if argv is None:
@@ -539,95 +574,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             optimize=args.optimize,
             optimize_budget=args.optimize_budget,
         )
-        from .merced import Merced
-
-        trace = None
         if args.profile:
-            from ..perf import PerfTrace, activate
+            from ..perf import profiled
 
-            trace = activate(PerfTrace(label=netlist.name))
-        try:
-            report = Merced(config).run(
-                netlist,
-                retimable_method="solver" if args.solver else "scc-budget",
-            )
-        finally:
-            if trace is not None:
-                from ..perf import deactivate
-
-                deactivate()
-        print(report.render())
-        if args.selftest:
-            from ..perf import activate as perf_activate
-            from ..perf import deactivate as perf_deactivate
-            from ..ppet.session import PPETSession
-
-            if trace is not None:
-                perf_activate(trace)
-            try:
-                session = PPETSession(netlist, report.partition, report.plan)
-                print()
-                print(session.run().render())
-            finally:
-                if trace is not None:
-                    perf_deactivate()
-        if args.retime:
-            from ..graphs.build import build_circuit_graph
-            from ..perf import activate as perf_activate
-            from ..perf import deactivate as perf_deactivate
-            from ..perf import stage as perf_stage
-            from ..retiming.apply import apply_retiming
-            from ..retiming.solve import solve_cut_retiming
-
-            if trace is not None:
-                perf_activate(trace)
-            try:
-                graph = build_circuit_graph(netlist, with_po_nodes=True)
-                with perf_stage("retime"):
-                    solution = solve_cut_retiming(
-                        graph, report.partition.cut_nets()
-                    )
-            finally:
-                if trace is not None:
-                    perf_deactivate()
-            retimed = apply_retiming(netlist, solution.retiming.rho)
+            with profiled(netlist.name) as trace:
+                _run_circuit(args, netlist, config)
             print()
-            print(
-                f"retiming: {len(solution.covered_cuts)} cut(s) covered by "
-                f"functional DFFs, {len(solution.dropped_cuts)} need MUXed "
-                f"A_CELLs, {len(solution.unconstrained_cuts)} "
-                f"unconstrained; registers {retimed.n_registers_before} -> "
-                f"{retimed.n_registers_after}"
-            )
-        emitted = netlist
-        if args.bist_out:
-            from ..cbit.insert import insert_test_hardware
-            from ..netlist.bench import write_bench_file
-
-            bist = insert_test_hardware(
-                netlist, report.partition, include_scan=True
-            )
-            write_bench_file(bist.netlist, args.bist_out)
-            emitted = bist.netlist
-            print()
-            print(
-                f"BIST netlist written to {args.bist_out}: "
-                f"{len(bist.cut_cells)} A_CELLs, "
-                f"{bist.added_area_units} units of test hardware"
-            )
-        if args.verilog_out:
-            from ..netlist.verilog import write_verilog_file
-
-            write_verilog_file(emitted, args.verilog_out)
-            print(f"Verilog written to {args.verilog_out}")
-        if trace is not None:
             if args.profile == "-":
-                print()
                 print(trace.to_json())
             else:
                 trace.write(args.profile)
-                print()
                 print(f"perf trace written to {args.profile}")
+        else:
+            _run_circuit(args, netlist, config)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,50 +14,29 @@ The paper's rule (§4.2):
 ``A_Total = A_circuit + A_CBIT`` and the reported metric is
 ``A_CBIT / A_Total`` in percent.
 
-Two retimability estimators are available: the paper's per-SCC budget
-count (default, fast) and the exact difference-constraint solver of
-:mod:`repro.retiming.solve`.
+The retimability count here is the paper's per-SCC budget.  The exact
+count comes from the one cut-retiming solve of
+:func:`repro.core.merced.compile_circuit`
+(:attr:`~repro.core.merced.CompilationArtifacts.exact_area`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from ..errors import ReproError
-from ..graphs.digraph import CircuitGraph
 from ..graphs.scc import SCCIndex
 from ..netlist.area import ACELL_MUXED_AREA_UNITS, ACELL_RETIMED_EXTRA_UNITS
 
 __all__ = ["CBITAreaComparison", "count_retimable_cuts", "compare_cbit_area"]
 
 
-def count_retimable_cuts(
-    scc_index: SCCIndex,
-    cut_nets: Sequence[str],
-    method: str = "scc-budget",
-    graph: Optional[CircuitGraph] = None,
-) -> int:
+def count_retimable_cuts(scc_index: SCCIndex, cut_nets: Sequence[str]) -> int:
     """Number of cut nets coverable by existing DFFs via legal retiming.
 
-    Args:
-        method: ``"scc-budget"`` — the paper's accounting: per SCC ``λ``,
-            ``min(f(λ), cuts inside λ)`` plus every off-SCC cut.
-            ``"solver"`` — the exact maximum-coverage retiming solve
-            (requires ``graph``).
+    The paper's accounting: per SCC ``λ``, ``min(f(λ), cuts inside λ)``
+    plus every off-SCC cut.
     """
-    if method == "solver":
-        if graph is None:
-            raise ReproError("solver method needs the circuit graph")
-        from ..retiming.solve import solve_cut_retiming
-
-        solution = solve_cut_retiming(graph, cut_nets)
-        # unconstrained cuts (no via-head edge) cost nothing to cover, so
-        # they count as retimable for area purposes even though the
-        # solution reports them separately from covered_cuts
-        return len(solution.covered_cuts) + len(solution.unconstrained_cuts)
-    if method != "scc-budget":
-        raise ReproError(f"unknown retimability method {method!r}")
     per_scc: Dict[int, int] = {}
     off_scc = 0
     for net in cut_nets:
@@ -133,14 +112,10 @@ def compare_cbit_area(
     circuit_area_units: int,
     cut_nets: Sequence[str],
     scc_index: SCCIndex,
-    method: str = "scc-budget",
-    graph: Optional[CircuitGraph] = None,
 ) -> CBITAreaComparison:
     """Build the with/without-retiming comparison for one partition run."""
     on_scc = [n for n in cut_nets if scc_index.net_on_scc(n)]
-    retimable = count_retimable_cuts(
-        scc_index, cut_nets, method=method, graph=graph
-    )
+    retimable = count_retimable_cuts(scc_index, cut_nets)
     return CBITAreaComparison(
         circuit=circuit,
         lk=lk,

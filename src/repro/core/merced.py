@@ -11,11 +11,16 @@ On top of the paper's steps, the report carries the Table 10/11 row
 With ``config.optimize`` set, the STEP 3 result is additionally refined
 by the local-search tier (:mod:`repro.optimize`) before costing, and the
 report's ``optimize`` field records the before/after deltas.
+
+:func:`compile_circuit` is the one orchestration that goes on to a
+test-ready netlist: :meth:`Merced.run`, then the cut retiming solve, its
+application, and the BIST insertion, each in its own perf stage.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Optional, Set
 
 from ..analysis.lint import lint_circuit, lint_gate
@@ -31,7 +36,7 @@ from ..partition.make_group import make_group
 from ..perf import count as perf_count
 from ..perf import current_trace
 from ..perf import stage as perf_stage
-from .cost import compare_cbit_area
+from .cost import CBITAreaComparison, compare_cbit_area
 from .result import MercedReport, PartitionRow
 
 __all__ = ["Merced", "CompilationArtifacts", "compile_circuit"]
@@ -54,7 +59,6 @@ class Merced:
         self,
         netlist: Netlist,
         locked: Optional[Set[str]] = None,
-        retimable_method: str = "scc-budget",
         graph=None,
         scc_index: Optional[SCCIndex] = None,
     ) -> MercedReport:
@@ -63,8 +67,6 @@ class Merced:
         Args:
             netlist: a validated synchronous circuit.
             locked: cell names Merced must not regroup (Table 5 option).
-            retimable_method: ``"scc-budget"`` (paper accounting) or
-                ``"solver"`` (exact retiming feasibility).
             graph: a prebuilt circuit graph of ``netlist`` (built with
                 ``with_po_nodes=False``) to reuse across runs — e.g.
                 consecutive sweep points on the same circuit.  The run
@@ -178,8 +180,6 @@ class Merced:
                 circuit_area_units=stats.area_units,
                 cut_nets=cut_nets,
                 scc_index=scc_index,
-                method=retimable_method,
-                graph=graph if retimable_method == "solver" else None,
             )
         row = PartitionRow(
             circuit=stats.name,
@@ -211,60 +211,78 @@ class Merced:
 
 
 class CompilationArtifacts:
-    """Everything :meth:`Merced.compile` produces in one call.
+    """Everything :func:`compile_circuit` produces in one call.
 
     Attributes:
         report: the partition/cost report (STEP 4 of Table 2).
         retiming: the cut-retiming solution (which cuts existing DFFs can
-            cover), or ``None`` when ``retime=False``.
-        retimed: the retimed netlist wrapper, or ``None``.
-        bist: the emitted test-ready netlist, or ``None`` when
-            ``emit_bist=False``.
+            cover).
+        retimed: the retimed netlist wrapper.
+        bist: the emitted test-ready netlist.
     """
 
-    def __init__(self, report, retiming=None, retimed=None, bist=None):
+    def __init__(self, report, retiming, retimed, bist):
         self.report = report
         self.retiming = retiming
         self.retimed = retimed
         self.bist = bist
 
+    @property
+    def exact_area(self) -> CBITAreaComparison:
+        """The Table 12 row with the exact retimability of this solve.
+
+        A covered cut shares a retimed functional DFF and an
+        unconstrained one needs no register move, so both take the
+        retimed A_CELL rate; the report's own row keeps the paper's
+        per-SCC count.
+        """
+        return replace(
+            self.report.area,
+            n_retimable=len(self.retiming.covered_cuts)
+            + len(self.retiming.unconstrained_cuts),
+        )
+
     def summary(self) -> str:
-        lines = [self.report.render()]
-        if self.retiming is not None:
-            lines.append(
-                f"retiming: {len(self.retiming.covered_cuts)} covered, "
-                f"{len(self.retiming.dropped_cuts)} muxed, "
-                f"{len(self.retiming.unconstrained_cuts)} unconstrained"
-            )
-        if self.bist is not None:
-            lines.append(
-                f"BIST netlist: {self.bist.netlist.name} "
-                f"(+{self.bist.added_area_units} units)"
-            )
-        return "\n".join(lines)
+        """The report, the retiming line and the emitted netlist line."""
+        retiming, area = self.retiming, self.exact_area
+        return "\n".join([
+            self.report.render(),
+            f"retiming: {len(retiming.covered_cuts)} cut(s) covered by "
+            f"functional DFFs, {len(retiming.dropped_cuts)} need MUXed "
+            f"A_CELLs, {len(retiming.unconstrained_cuts)} unconstrained; "
+            f"registers {self.retimed.n_registers_before} -> "
+            f"{self.retimed.n_registers_after}",
+            f"  exact Table 12: {area.n_retimable}/{area.n_cut_nets} cut "
+            f"nets retimable, A_CBIT/A_Total {area.pct_with_retiming:.1f}% "
+            f"with retiming",
+            f"BIST netlist: {self.bist.netlist.name} "
+            f"({len(self.bist.cut_cells)} A_CELLs, "
+            f"+{self.bist.added_area_units} units)",
+        ])
 
 
 def compile_circuit(
     netlist,
     config: Optional[MercedConfig] = None,
-    retime: bool = True,
-    emit_bist: bool = True,
     pin_io: bool = False,
-    bist_kwargs: Optional[dict] = None,
 ) -> CompilationArtifacts:
     """One-call BIST compilation: partition, retime, emit hardware.
+
+    Runs :meth:`Merced.run`, solves the cut retiming on the graph with
+    primary-output sinks, applies it, and inserts the test hardware
+    (A_CELLs, scan, PI/PO cells and dual-mode controls) on the
+    *original* netlist.  The retiming results are reported alongside,
+    so a flow can choose which netlist to take forward.
 
     Args:
         netlist: the circuit to compile.
         config: Merced parameters.
-        retime: solve the cut retiming and apply it (the paper's area
-            optimization); the *original* netlist is what the BIST
-            inserter modifies — retiming results are reported alongside
-            so a flow can choose which netlist to take forward.
-        emit_bist: insert the test hardware (dual-mode, scan).
         pin_io: strict I/O-latency-preserving retiming (host condition).
-        bist_kwargs: forwarded to
-            :func:`repro.cbit.insert.insert_test_hardware`.
+
+    Raises:
+        RetimingError: :func:`~repro.retiming.apply.apply_retiming`
+            rejects the solved retiming, e.g. when the circuit reads a
+            register-only ring (a pure register cycle).
 
     Example:
         >>> from repro import load_circuit, MercedConfig
@@ -275,29 +293,28 @@ def compile_circuit(
         >>> arts.report.n_partitions >= 3 and arts.bist is not None
         True
     """
-    merced = Merced(config)
-    report = merced.run(netlist)
-    retiming = retimed = bist = None
-    if retime:
-        from ..retiming.apply import apply_retiming
-        from ..retiming.solve import solve_cut_retiming
+    from ..cbit.insert import insert_test_hardware
+    from ..retiming.apply import apply_retiming
+    from ..retiming.solve import solve_cut_retiming
 
+    report = Merced(config).run(netlist)
+    with perf_stage("build_graph"):
         graph = build_circuit_graph(netlist, with_po_nodes=True)
+    with perf_stage("solve_retiming"):
         retiming = solve_cut_retiming(
             graph, report.partition.cut_nets(), pin_io=pin_io
         )
+    with perf_stage("apply_retiming"):
         retimed = apply_retiming(netlist, retiming.retiming.rho)
-    if emit_bist:
-        from ..cbit.insert import insert_test_hardware
-
-        kwargs = dict(
+    with perf_stage("insert_test_hardware"):
+        bist = insert_test_hardware(
+            netlist,
+            report.partition,
             include_scan=True,
             include_primary_inputs=True,
             include_primary_outputs=True,
             dual_mode_controls=True,
         )
-        kwargs.update(bist_kwargs or {})
-        bist = insert_test_hardware(netlist, report.partition, **kwargs)
     return CompilationArtifacts(
         report=report, retiming=retiming, retimed=retimed, bist=bist
     )

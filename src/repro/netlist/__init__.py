@@ -29,7 +29,6 @@ from .transform import (
     insert_dff_on_net,
     retarget_readers,
 )
-from .validate import LintReport, lint_netlist
 from .verilog import write_verilog, write_verilog_file
 
 __all__ = [
@@ -60,8 +59,6 @@ __all__ = [
     "fresh_signal_name",
     "insert_dff_on_net",
     "retarget_readers",
-    "LintReport",
-    "lint_netlist",
     "write_verilog",
     "write_verilog_file",
 ]

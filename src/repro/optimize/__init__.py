@@ -40,7 +40,6 @@ from .refine import (
     MUX_PREMIUM_DFF,
     OptimizeResult,
     refine_cost,
-    retime_cuts,
     schedule_steps,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "fast_refine",
     "optimize_partition",
     "refine_cost",
-    "retime_cuts",
     "schedule_steps",
 ]
 

@@ -34,12 +34,9 @@ walk can only be surprised favourably.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
-from ..graphs.digraph import CircuitGraph
-from ..graphs.paths import WeightedEdge
 from ..partition.clusters import Partition
-from ..retiming.solve import RetimingSolution, solve_cut_retiming
 
 __all__ = [
     "ACELL_DFF",
@@ -50,7 +47,6 @@ __all__ = [
     "estimate_retime_seconds",
     "refine_cost",
     "schedule_steps",
-    "retime_cuts",
 ]
 
 #: DFF-equivalent area of one A_CELL test register.
@@ -95,15 +91,6 @@ def estimate_retime_seconds(n_edges: int, n_cuts: int) -> float:
     change every refinement schedule and golden.
     """
     return 2e-5 * n_edges * max(1, n_cuts)
-
-
-def retime_cuts(
-    graph: CircuitGraph,
-    cut_nets: Sequence[str],
-    edges: Sequence[WeightedEdge],
-) -> RetimingSolution:
-    """One exact cut-retiming solve for the refinement loop."""
-    return solve_cut_retiming(graph, cut_nets, edges=edges)
 
 
 @dataclass

@@ -3,12 +3,8 @@
 import json
 import textwrap
 
-from repro.analysis.kernel_lint import (
-    HOT_DIRS,
-    kernel_lint_main,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis.concurrency.engine import analyze_paths, lint_code_main
+from repro.analysis.kernel_lint import HOT_DIRS, lint_source
 
 HOT = "src/repro/partition/fake.py"
 COLD = "src/repro/report/fake.py"
@@ -190,7 +186,9 @@ class TestPairingContract:
         tests = tmp_path / "tests"
         tests.mkdir()
         (tests / "test_mod.py").write_text("def test_nothing():\n    pass\n")
-        report = lint_paths([str(src)], tests_dir=str(tests))
+        report = analyze_paths(
+            [str(src)], tests_dir=str(tests), families=("KRN",)
+        )
         assert ids(report.diagnostics) == ["KRN004"]
 
     def test_krn004_clean_when_tested(self, tmp_path):
@@ -204,35 +202,41 @@ class TestPairingContract:
         (tests / "test_mod.py").write_text(
             "from mod import kern_reference\n"
         )
-        report = lint_paths([str(src)], tests_dir=str(tests))
+        report = analyze_paths(
+            [str(src)], tests_dir=str(tests), families=("KRN",)
+        )
         assert report.clean
 
 
 class TestRepoAndCli:
     def test_repo_sources_are_clean(self):
-        report = lint_paths(["src"], tests_dir="tests")
+        report = analyze_paths(["src"], tests_dir="tests", families=("KRN",))
         assert not report.has_errors, report.render_text()
 
     def test_syntax_error_becomes_diagnostic(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
-        report = lint_paths([str(bad)])
+        report = analyze_paths([str(bad)], families=("KRN",))
         assert report.has_errors
         assert "does not parse" in report.diagnostics[0].message
 
-    def test_cli_seeded_violation_and_exit_codes(self, tmp_path, capsys):
+    def test_cli_seeded_violation_and_exit_codes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
         mod = tmp_path / "retiming"
         mod.mkdir()
         (mod / "bad.py").write_text("for x in {1, 2}:\n    pass\n")
-        assert kernel_lint_main([str(mod)]) == 1
+        assert lint_code_main([str(mod)]) == 1
         assert "KRN001" in capsys.readouterr().out
-        assert kernel_lint_main([str(mod), "--suppress", "KRN001"]) == 0
+        assert lint_code_main([str(mod), "--suppress", "KRN001"]) == 0
 
-    def test_cli_json(self, tmp_path, capsys):
+    def test_cli_json(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         mod = tmp_path / "flow"
         mod.mkdir()
         (mod / "bad.py").write_text("x = list(set(a))\n")
-        assert kernel_lint_main([str(mod), "--json"]) == 1
+        assert lint_code_main([str(mod), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_errors"] == 1
         assert payload["diagnostics"][0]["rule_id"] == "KRN001"

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.circuits import load_circuit
 from repro.config import MercedConfig
-from repro.core import CBITAreaComparison, compare_cbit_area, count_retimable_cuts
-from repro.errors import ReproError
+from repro.core import (
+    CBITAreaComparison,
+    compare_cbit_area,
+    compile_circuit,
+    count_retimable_cuts,
+)
 from repro.graphs import SCCIndex, build_circuit_graph
 from repro.partition import assign_cbit, make_group
 
@@ -72,20 +77,17 @@ class TestRetimableCount:
         idx.sccs()[0].__dict__["register_count"] = 1
         assert count_retimable_cuts(idx, ["g1", "g2"]) == 1
 
-    def test_solver_method(self, ring_graph):
-        idx = SCCIndex(ring_graph)
-        n = count_retimable_cuts(
-            idx, ["g1", "g2"], method="solver", graph=ring_graph
+    def test_solver_method(self):
+        # the exact count: covered plus unconstrained cuts of
+        # compile_circuit's one solve, on the report's Table 12 row
+        arts = compile_circuit(load_circuit("s27"), MercedConfig(lk=3))
+        exact = arts.exact_area
+        assert exact.n_retimable == 2
+        assert exact.n_retimable == len(arts.retiming.covered_cuts) + len(
+            arts.retiming.unconstrained_cuts
         )
-        assert n == 2
-
-    def test_solver_needs_graph(self, ring_graph):
-        with pytest.raises(ReproError):
-            count_retimable_cuts(SCCIndex(ring_graph), ["g1"], method="solver")
-
-    def test_unknown_method(self, ring_graph):
-        with pytest.raises(ReproError):
-            count_retimable_cuts(SCCIndex(ring_graph), [], method="magic")
+        assert exact.n_cut_nets == arts.report.area.n_cut_nets
+        assert exact.circuit_area_units == arts.report.area.circuit_area_units
 
 
 class TestCompareOnCircuit:
@@ -100,13 +102,9 @@ class TestCompareOnCircuit:
         assert comp.n_retimable <= comp.n_cut_nets
         assert comp.pct_with_retiming < comp.pct_without_retiming
 
-    def test_solver_vs_budget_agree_on_s27(self, s27, s27_graph, s27_scc):
-        res = make_group(s27_graph, s27_scc, MercedConfig(lk=3, seed=7))
-        merged = assign_cbit(res.partition)
-        cuts = merged.partition.cut_nets()
-        budget = count_retimable_cuts(s27_scc, cuts)
-        exact = count_retimable_cuts(
-            s27_scc, cuts, method="solver", graph=s27_graph
-        )
+    def test_solver_vs_budget_agree_on_s27(self, s27):
+        arts = compile_circuit(s27, MercedConfig(lk=3, seed=7))
+        budget = arts.report.area.n_retimable
+        exact = arts.exact_area.n_retimable
         # the budget estimate can be optimistic but not by much on s27
         assert abs(budget - exact) <= 1

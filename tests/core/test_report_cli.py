@@ -1,5 +1,7 @@
 """Table rendering and the merced CLI."""
 
+import json
+
 import pytest
 
 from repro import Merced, MercedConfig
@@ -116,3 +118,72 @@ class TestCLI:
             ]
         ) == 0
         assert "test_mode" in verilog.read_text()
+
+    def test_bist_out_is_the_compile_circuit_netlist(self, tmp_path, capsys):
+        from repro.core import compile_circuit
+        from repro.netlist import write_bench, write_verilog
+
+        bench = tmp_path / "b.bench"
+        verilog = tmp_path / "b.v"
+        assert main(
+            [
+                "s27", "--lk", "3", "--seed", "7",
+                "--bist-out", str(bench),
+                "--verilog-out", str(verilog),
+            ]
+        ) == 0
+        bist = compile_circuit(
+            load_circuit("s27"), MercedConfig(lk=3, seed=7)
+        ).bist.netlist
+        assert bench.read_text() == write_bench(bist)
+        assert verilog.read_text() == write_verilog(bist)
+
+    def test_retime_profile_has_compile_stages(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(
+            [
+                "s27", "--lk", "3", "--seed", "7", "--selftest", "--retime",
+                "--profile", str(trace),
+            ]
+        ) == 0
+        stages = json.loads(trace.read_text())["stages"]
+        assert stages["build_graph"]["calls"] == 2
+        for stage in (
+            "solve_retiming",
+            "apply_retiming",
+            "insert_test_hardware",
+        ):
+            assert stages[stage]["calls"] == 1, stage
+        # the self-test runs under the same trace
+        assert stages["session_fault_sim"]["calls"] >= 1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the exact counts the partition-plus-second-solve accounting
+            # reported for the same partitions
+            (["s27", "--lk", "3"], "2/5 cut nets retimable, "
+             "A_CBIT/A_Total 63.0% with retiming"),
+            (["s510"], "17/105 cut nets retimable, "
+             "A_CBIT/A_Total 79.9% with retiming"),
+        ],
+        ids=["s27", "s510"],
+    )
+    def test_retime_prints_exact_retimability(self, argv, expected, capsys):
+        assert main(argv + ["--retime"]) == 0
+        assert f"exact Table 12: {expected}" in capsys.readouterr().out
+
+    def test_register_ring_partitions_but_cannot_retime(
+        self, tmp_path, capsys
+    ):
+        # plain `merced X` stays partition-only: the retiming of a
+        # register-only ring cannot be applied
+        path = tmp_path / "ring.bench"
+        path.write_text(
+            "INPUT(a)\nOUTPUT(o)\n"
+            "q1 = DFF(q2)\nq2 = DFF(q1)\no = AND(a, q1)\n"
+        )
+        assert main(["--bench", str(path), "--lk", "3"]) == 0
+        assert "Merced report" in capsys.readouterr().out
+        assert main(["--bench", str(path), "--lk", "3", "--retime"]) == 1
+        assert "pure register cycle" in capsys.readouterr().err
