@@ -103,9 +103,10 @@ cached on the graph keyed by its `topo_version`: structural mutation
 (`add_node`/`add_net`) invalidates it, while mutable per-net flow
 state does not — kernels refresh distances with `reload_dist()`.
 One `CompiledGraph` is therefore shared by Tarjan SCC, `Make_Group`,
-`Assign_CBIT`, `FlowIndex`, and consecutive sweep points on the same
-circuit; `rebind(graph)` re-targets the arrays at a structurally
-identical graph object without rebuilding. Every compiled kernel is
+`Assign_CBIT` and `FlowIndex` within one compile. It is never shared
+between compiles: the flow state and scratch arrays are mutable, so
+every `Merced.run`, sweep point and service request builds its own
+graph from the `.bench` text. Every compiled kernel is
 bit-identical to its reference counterpart (`make_set_reference`,
 `strongly_connected_components_reference`, `use_compiled=False`
 paths), which the equivalence suites in `tests/graphs/` and

@@ -65,10 +65,6 @@ class BISTCircuit:
     added_area_units: int
 
     @property
-    def n_test_registers(self) -> int:
-        return len(self.cut_cells)
-
-    @property
     def chain_order(self) -> List[str]:
         out: List[str] = []
         for cid in sorted(self.cbit_chains):

@@ -126,9 +126,6 @@ class MercedConfig:
     def with_min_visit(self, min_visit: int) -> "MercedConfig":
         return replace(self, min_visit=min_visit)
 
-    def with_max_sources(self, max_sources: Optional[int]) -> "MercedConfig":
-        return replace(self, max_sources=max_sources)
-
     def with_optimize(
         self, optimize: Optional[str], budget: Optional[float] = None
     ) -> "MercedConfig":

@@ -56,23 +56,17 @@ class Merced:
         self.config = config or MercedConfig()
 
     def run(
-        self,
-        netlist: Netlist,
-        locked: Optional[Set[str]] = None,
-        graph=None,
-        scc_index: Optional[SCCIndex] = None,
+        self, netlist: Netlist, locked: Optional[Set[str]] = None
     ) -> MercedReport:
         """Run STEPs 1–4 on ``netlist`` and return the full report.
+
+        Every run builds its own graph: ``Saturate_Network`` and
+        ``Make_Group`` keep their working state (flows, distances, cut
+        flags, CSR scratch) on it, so two runs must never share one.
 
         Args:
             netlist: a validated synchronous circuit.
             locked: cell names Merced must not regroup (Table 5 option).
-            graph: a prebuilt circuit graph of ``netlist`` (built with
-                ``with_po_nodes=False``) to reuse across runs — e.g.
-                consecutive sweep points on the same circuit.  The run
-                resets its flow state, so sharing is safe; the compiled
-                CSR arrays and SCC structure carry over unchanged.
-            scc_index: the matching prebuilt :class:`SCCIndex`.
 
         Raises:
             AnalysisError: the entry lint gate found structural errors
@@ -108,14 +102,12 @@ class Merced:
                 seed=self.config.seed,
             )
         t0 = time.perf_counter()
-        if graph is None:
-            with perf_stage("build_graph"):
-                graph = build_circuit_graph(  # STEP 1
-                    netlist, with_po_nodes=False
-                )
-        if scc_index is None:
-            with perf_stage("scc"):
-                scc_index = SCCIndex(graph)  # STEP 2
+        with perf_stage("build_graph"):
+            graph = build_circuit_graph(  # STEP 1
+                netlist, with_po_nodes=False
+            )
+        with perf_stage("scc"):
+            scc_index = SCCIndex(graph)  # STEP 2
         with perf_stage("lint"):
             # Hard gate: structural errors raise AnalysisError,
             # (l_k, β)-infeasibility raises InfeasiblePartitionError

@@ -26,7 +26,7 @@ submission index, never by completion order.
 
 from .cache import CacheStats, ResultCache
 from .hashing import code_version, config_fingerprint, point_key, short_key
-from .pool import FarmPolicy, SweepFarm
+from .pool import SweepFarm
 from .task import SweepPoint, TaskResult, known_kinds, run_point
 from .watchdog import deadline, reset_watchdog_stats, watchdog_stats
 
@@ -37,7 +37,6 @@ __all__ = [
     "config_fingerprint",
     "point_key",
     "short_key",
-    "FarmPolicy",
     "SweepFarm",
     "SweepPoint",
     "TaskResult",

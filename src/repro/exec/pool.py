@@ -41,7 +41,6 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..perf import current_trace
@@ -50,28 +49,7 @@ from .hashing import code_version, point_key
 from .task import SweepPoint, TaskResult, run_point
 from .watchdog import deadline
 
-__all__ = ["FarmPolicy", "SweepFarm"]
-
-
-@dataclass(frozen=True)
-class FarmPolicy:
-    """Execution policy of a :class:`SweepFarm`.
-
-    Attributes:
-        jobs: worker process count; ``1`` runs inline (no processes).
-        timeout: per-task wall-clock budget in seconds (``None`` = no
-            limit).  Enforced inside the worker via
-            :func:`repro.exec.watchdog.deadline` — ``SIGALRM`` on the
-            main thread, an async-exception watchdog on any other
-            thread — so it interrupts Python bytecode (which is all
-            this package runs) no matter where the attempt executes.
-        retries: extra attempts after a first failure; every point gets
-            ``retries + 1`` attempts before its row degrades.
-    """
-
-    jobs: int = 1
-    timeout: Optional[float] = None
-    retries: int = 1
+__all__ = ["SweepFarm"]
 
 
 def _execute_attempt(
@@ -131,7 +109,15 @@ class SweepFarm:
         [0, 1, 2]
 
     Attributes:
-        policy: the :class:`FarmPolicy` in force.
+        jobs: worker process count; ``1`` runs inline (no processes).
+        timeout: per-task wall-clock budget in seconds (``None`` = no
+            limit).  Enforced inside the worker via
+            :func:`repro.exec.watchdog.deadline` — ``SIGALRM`` on the
+            main thread, an async-exception watchdog on any other
+            thread — so it interrupts Python bytecode (which is all
+            this package runs) no matter where the attempt executes.
+        retries: extra attempts after a first failure; every point gets
+            ``retries + 1`` attempts before its row degrades.
         cache: optional :class:`~repro.exec.cache.ResultCache`; hits
             skip execution entirely, successes are stored back.
     """
@@ -142,11 +128,10 @@ class SweepFarm:
         timeout: Optional[float] = None,
         retries: int = 1,
         cache: Optional[ResultCache] = None,
-        policy: Optional[FarmPolicy] = None,
     ):
-        self.policy = policy or FarmPolicy(
-            jobs=jobs, timeout=timeout, retries=retries
-        )
+        self.jobs = jobs
+        self.timeout = timeout
+        self.retries = retries
         self.cache = cache
 
     # ------------------------------------------------------------------
@@ -185,7 +170,7 @@ class SweepFarm:
             pending = list(range(len(points)))
 
         if pending:
-            if self.policy.jobs <= 1:
+            if self.jobs <= 1:
                 self._run_inline(points, pending, results, traced)
             else:
                 self._run_pool(points, pending, results, traced)
@@ -212,20 +197,20 @@ class SweepFarm:
     # inline (jobs=1) and pooled execution share attempt bookkeeping
     # ------------------------------------------------------------------
     def _run_inline(self, points, pending, results, traced) -> None:
-        allowed = self.policy.retries + 1
+        allowed = self.retries + 1
         for i in pending:
             attempts = 0
             while True:
                 attempts += 1
                 outcome = _execute_attempt(
-                    points[i], self.policy.timeout, traced
+                    points[i], self.timeout, traced
                 )
                 if outcome["ok"] or attempts >= allowed:
                     results[i] = self._to_result(points[i], outcome, attempts)
                     break
 
     def _run_pool(self, points, pending, results, traced) -> None:
-        allowed = self.policy.retries + 1
+        allowed = self.retries + 1
         attempts = {i: 0 for i in pending}
         queue = list(pending)
         executor = self._new_executor()
@@ -237,7 +222,7 @@ class SweepFarm:
                     future = executor.submit(
                         _execute_attempt,
                         points[i],
-                        self.policy.timeout,
+                        self.timeout,
                         traced,
                     )
                     inflight[future] = i
@@ -302,7 +287,7 @@ class SweepFarm:
             else None
         )
         return ProcessPoolExecutor(
-            max_workers=self.policy.jobs, mp_context=mp_context
+            max_workers=self.jobs, mp_context=mp_context
         )
 
     @staticmethod

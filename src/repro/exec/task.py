@@ -6,7 +6,10 @@ never share in-memory state with the parent), the
 :class:`~repro.config.MercedConfig` to run it under, and a ``kind``
 selecting what to compute.  :func:`run_point` executes a point in the
 current process; the pool runs the very same function in workers, which
-is what makes ``--jobs 1`` and ``--jobs N`` bit-identical.
+is what makes ``--jobs 1`` and ``--jobs N`` bit-identical.  Every call
+parses the text and builds its own circuit graph, so points running on
+concurrent threads (the compile service's executors) never share the
+graph that saturation and clustering mutate.
 
 Built-in kinds:
 
@@ -165,87 +168,50 @@ def merced_payload(report) -> Dict[str, object]:
     return payload
 
 
-#: Per-process circuit cache: sha256(bench text) → (netlist, graph,
-#: scc_index).  Sweep grids typically run many points per circuit in the
-#: same worker; parsing, graph construction, SCC analysis, and the
-#: compiled CSR arrays (cached on the graph) all depend only on the
-#: bench text, so they can be shared.  Every run resets the graph's
-#: mutable flow state itself and all per-point results are plain dicts,
-#: so reuse is bit-identical to a fresh build (the determinism suite
-#: covers this).  Bounded FIFO so long multi-circuit sweeps don't hold
-#: every graph alive.  Cache *keys* for the on-disk result cache are
-#: untouched — this only skips redundant in-process work.
-_CIRCUIT_CACHE: Dict[str, Tuple[object, object, object]] = {}
-_CIRCUIT_CACHE_MAX = 8
-
-
-def _circuit_for(point: SweepPoint):
-    """(netlist, graph, scc_index) for a point's bench text, cached."""
-    import hashlib
-
-    from ..graphs.build import build_circuit_graph
-    from ..graphs.scc import SCCIndex
-    from ..netlist.bench import parse_bench
-
-    key = hashlib.sha256(
-        (point.circuit + "\0" + point.bench).encode("utf-8")
-    ).hexdigest()
-    hit = _CIRCUIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    netlist = parse_bench(point.bench, name=point.circuit)
-    graph = build_circuit_graph(netlist, with_po_nodes=False)
-    scc = SCCIndex(graph)
-    entry = (netlist, graph, scc)
-    if len(_CIRCUIT_CACHE) >= _CIRCUIT_CACHE_MAX:
-        _CIRCUIT_CACHE.pop(next(iter(_CIRCUIT_CACHE)))
-    _CIRCUIT_CACHE[key] = entry
-    return entry
-
-
 def _run_merced(point: SweepPoint) -> Dict[str, object]:
     from ..core.merced import Merced
     from ..errors import ReproError
+    from ..netlist.bench import parse_bench
 
-    netlist, graph, scc = _circuit_for(point)
+    netlist = parse_bench(point.bench, name=point.circuit)
     try:
-        report = Merced(point.config).run(
-            netlist, graph=graph, scc_index=scc
-        )
+        report = Merced(point.config).run(netlist)
     except ReproError as exc:
-        _attach_lint(exc, point, netlist, graph, scc)
+        _attach_lint(exc, point, netlist)
         raise
     return merced_payload(report)
 
 
-def _attach_lint(exc, point: SweepPoint, netlist, graph, scc) -> None:
+def _attach_lint(exc, point: SweepPoint, netlist) -> None:
     """Attach pre-lint diagnostics to a failing point's exception.
 
     The entry gate already stamps ``lint_diagnostics`` on its own
     aborts; failures from deeper stages get a best-effort lint pass here
-    (reusing the cached netlist/graph/SCC index) so the resulting
-    :class:`~repro.core.sweep.SweepErrorRow` explains the circuit state
-    the stage choked on.  Lint failures never mask the original error.
+    so the resulting :class:`~repro.core.sweep.SweepErrorRow` explains
+    the circuit state the stage choked on.  Lint failures never mask the
+    original error.
     """
     if hasattr(exc, "lint_diagnostics"):
         return
     try:
         from ..analysis.lint import lint_circuit
 
-        report = lint_circuit(
-            netlist, point.config, graph=graph, scc_index=scc
-        )
+        report = lint_circuit(netlist, point.config)
         exc.lint_diagnostics = [d.as_dict() for d in report.diagnostics]
     except Exception:
         pass
 
 
 def _run_beta(point: SweepPoint) -> Dict[str, object]:
+    from ..graphs.build import build_circuit_graph
+    from ..graphs.scc import SCCIndex
+    from ..netlist.bench import parse_bench
     from ..partition.assign_cbit import assign_cbit
     from ..partition.make_group import make_group
 
-    _netlist, graph, scc = _circuit_for(point)
-    group = make_group(graph, scc, point.config, strict=False)
+    netlist = parse_bench(point.bench, name=point.circuit)
+    graph = build_circuit_graph(netlist, with_po_nodes=False)
+    group = make_group(graph, SCCIndex(graph), point.config, strict=False)
     merged = assign_cbit(group.partition)
     p = merged.partition
     oversized = [c for c in p.clusters if c.input_count > point.config.lk]

@@ -6,8 +6,9 @@ string-keyed implementation: every run rebuilds ``dist``/``parent`` dicts
 keyed by node *names* and chases ``Net`` attribute lookups per edge.  At
 the s38xxx scale that dominates the compile.
 
-:class:`FlowIndex` converts the graph **once** into dense integer arrays —
-node ids, per-node adjacency of ``(net id, sink ids)`` pairs, per-net
+:class:`FlowIndex` lays the graph's
+:class:`~repro.graphs.csr.CompiledGraph` out **once** as dense integer
+arrays — per-node adjacency of ``(net id, sink ids)`` pairs, per-net
 ``flow``/``dist``/``cap`` arrays — and then answers every subsequent
 Dijkstra/injection query on those arrays.  Per-run state (tentative
 distance, settled flag, tree parent) lives in version-stamped scratch
@@ -17,17 +18,16 @@ The traversal order, tie-breaking counter, and floating-point operations
 replicate :func:`dijkstra_tree` exactly, and flow accumulation/distance
 exponentiation replicate :func:`repro.flow.distance.inject_flow` exactly,
 so a saturation driven through the index is **bit-identical** to one
-driven through the reference implementations (the regression tests assert
-this).
+driven through the reference implementations (``tests/flow/test_saturate.py``
+asserts this tree by tree).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..graphs.csr import CompiledGraph
-from ..graphs.digraph import CircuitGraph
 from .distance import exp_distance
 
 __all__ = ["FlowIndex"]
@@ -36,80 +36,47 @@ __all__ = ["FlowIndex"]
 class FlowIndex:
     """Reusable indexed adjacency + flow state for repeated Dijkstra runs.
 
-    Build once per saturation (after ``graph.reset_flow_state``); call
+    Build once per saturation, from the
+    :class:`~repro.graphs.csr.CompiledGraph` of a graph whose flow state
+    was just reset (``graph.reset_flow_state``); call
     :meth:`tree_nets_from` per source and :meth:`inject` per tree; call
     :meth:`flush` at the end to write the accumulated ``flow``/``dist``
     back onto the graph's :class:`~repro.graphs.digraph.Net` objects.
 
-    The index snapshots net ``removed`` flags at construction (use
-    :meth:`reload` after cut-state changes); saturation always runs on an
-    uncut graph, so the snapshot is the common case.
-
-    A prebuilt :class:`~repro.graphs.csr.CompiledGraph` of the same graph
-    can be passed to share its interning tables and CSR adjacency —
-    the two layers use the identical id assignment (graph insertion
-    order for both nodes and nets), so ids are interchangeable.
+    The index shares the compiled view's interning tables and CSR
+    adjacency (both follow graph insertion order, so ids are
+    interchangeable) and snapshots every net's ``flow``/``dist``/
+    ``cap``/``removed`` at construction.  Saturation always runs on a
+    freshly reset, uncut graph, so the snapshot never goes stale.
     """
 
-    def __init__(
-        self, graph: CircuitGraph, compiled: Optional[CompiledGraph] = None
-    ):
-        self.graph = graph
-        if compiled is not None and compiled.graph is graph:
-            self.node_names = compiled.node_names
-            self.node_ids = compiled.node_id
-            nets = compiled.nets
-            self._nets = nets
-            self.net_names = compiled.net_names
-            # adjacency rows straight off the CSR arrays (same net order
-            # as graph.out_net_objects: both follow graph insertion order)
-            out_start = compiled.out_start
-            out_net_ids = compiled.out_net_ids
-            sink_start = compiled.sink_start
-            sink_ids = compiled.sink_ids
-            self.adj = []
-            for i in range(len(self.node_names)):
-                row = []
-                for p in range(out_start[i], out_start[i + 1]):
-                    ni = out_net_ids[p]
-                    row.append(
-                        (
-                            ni,
-                            tuple(
-                                sink_ids[
-                                    sink_start[ni] : sink_start[ni + 1]
-                                ]
-                            ),
-                        )
-                    )
-                self.adj.append(row)
-        else:
-            self.node_names: List[str] = list(graph.nodes())
-            self.node_ids: Dict[str, int] = {
-                name: i for i, name in enumerate(self.node_names)
-            }
-            nets = list(graph.nets())
-            self._nets = nets
-            self.net_names: List[str] = [n.name for n in nets]
-            net_ids = {n.name: i for i, n in enumerate(nets)}
-            #: per-node list of (net id, tuple of sink node ids), in the
-            #: same order ``graph.out_net_objects`` yields nets.
-            self.adj: List[List[Tuple[int, Tuple[int, ...]]]] = []
-            for name in self.node_names:
-                row = [
-                    (
-                        net_ids[net.name],
-                        tuple(self.node_ids[s] for s in net.sinks),
-                    )
-                    for net in graph.out_net_objects(name)
-                ]
-                self.adj.append(row)
-        n_nets = len(nets)
-        self.flow: List[float] = [0.0] * n_nets
-        self.dist: List[float] = [1.0] * n_nets
-        self.cap: List[float] = [1.0] * n_nets
-        self.removed: List[bool] = [False] * n_nets
-        self.reload()
+    def __init__(self, compiled: CompiledGraph):
+        self.graph = compiled.graph
+        self.node_names = compiled.node_names
+        self.node_ids = compiled.node_id
+        nets = compiled.nets
+        self._nets = nets
+        self.net_names = compiled.net_names
+        # adjacency rows straight off the CSR arrays (same net order as
+        # graph.out_net_objects: both follow graph insertion order)
+        out_start = compiled.out_start
+        out_net_ids = compiled.out_net_ids
+        sink_start = compiled.sink_start
+        sink_ids = compiled.sink_ids
+        #: per-node list of (net id, tuple of sink node ids).
+        self.adj: List[List[Tuple[int, Tuple[int, ...]]]] = []
+        for i in range(len(self.node_names)):
+            row = []
+            for p in range(out_start[i], out_start[i + 1]):
+                ni = out_net_ids[p]
+                row.append(
+                    (ni, tuple(sink_ids[sink_start[ni] : sink_start[ni + 1]]))
+                )
+            self.adj.append(row)
+        self.flow: List[float] = [net.flow for net in nets]
+        self.dist: List[float] = [net.dist for net in nets]
+        self.cap: List[float] = [net.cap for net in nets]
+        self.removed: List[bool] = [net.removed for net in nets]
         # version-stamped per-run scratch (no per-run allocation)
         n = len(self.node_names)
         self._run = 0
@@ -117,19 +84,11 @@ class FlowIndex:
         self._done: List[int] = [0] * n
         self._tdist: List[float] = [0.0] * n
         self._parent: List[int] = [-1] * n
-        self._net_seen: List[int] = [0] * n_nets
+        self._net_seen: List[int] = [0] * len(nets)
 
     # ------------------------------------------------------------------
     # state sync with the graph
     # ------------------------------------------------------------------
-    def reload(self) -> None:
-        """Re-snapshot ``flow``/``dist``/``cap``/``removed`` from the graph."""
-        for i, net in enumerate(self._nets):
-            self.flow[i] = net.flow
-            self.dist[i] = net.dist
-            self.cap[i] = net.cap
-            self.removed[i] = net.removed
-
     def flush(self) -> None:
         """Write the index's accumulated flow state back to the graph."""
         for i, net in enumerate(self._nets):

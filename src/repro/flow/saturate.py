@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..config import MercedConfig
+from ..graphs.csr import compile_graph
 from ..graphs.digraph import CircuitGraph
 from ..perf import count as perf_count
 from ..perf import stage as perf_stage
@@ -51,23 +52,23 @@ class SaturationResult:
 
 
 def saturate_network(
-    graph: CircuitGraph,
-    config: Optional[MercedConfig] = None,
-    index: Optional[FlowIndex] = None,
+    graph: CircuitGraph, config: Optional[MercedConfig] = None
 ) -> SaturationResult:
     """Run the modified ``Saturate_Network`` procedure on ``graph`` in place.
 
-    The ``min_visit × |V|`` Dijkstra runs all execute on one prebuilt
+    The ``min_visit × |V|`` Dijkstra runs all execute on one
     :class:`~repro.flow.index.FlowIndex` (integer-indexed adjacency +
-    dense flow arrays), which is bit-identical to — and much faster than —
-    driving :func:`repro.graphs.dijkstra.dijkstra_tree` per source.
+    dense flow arrays), built here from the graph's cached
+    :class:`~repro.graphs.csr.CompiledGraph` after the flow state is
+    reset.  That is bit-identical to — and much faster than — driving
+    :func:`repro.graphs.dijkstra.dijkstra_tree` per source.  The
+    congestion is written onto ``graph`` itself, so a graph belongs to
+    one compile at a time.
 
     Args:
         graph: circuit graph; its per-net flow state is reset first.
         config: supplies ``Δ``, ``α``, ``b``, ``min_visit`` and the RNG
             seed.  Defaults to the paper's published parameters.
-        index: a prebuilt :class:`FlowIndex` over ``graph`` to reuse
-            (e.g. across parameter sweeps); built here when omitted.
 
     Returns:
         A :class:`SaturationResult`; the graph's nets now carry the
@@ -75,12 +76,7 @@ def saturate_network(
     """
     config = config or MercedConfig()
     graph.reset_flow_state(cap=config.cap)
-    if index is None:
-        from ..graphs.csr import compile_graph
-
-        index = FlowIndex(graph, compiled=compile_graph(graph))
-    else:
-        index.reload()
+    index = FlowIndex(compile_graph(graph))
     sampler = FairSampler(
         list(graph.nodes()), min_visit=config.min_visit, seed=config.seed
     )

@@ -22,9 +22,11 @@ integer-indexed arrays:
 
 A :class:`CompiledGraph` depends only on the graph's *topology* (nodes,
 nets, kinds) — never on mutable flow state — so one instance is built
-per circuit and reused across every kernel invocation and every sweep
-point that shares the circuit.  :func:`compile_graph` caches the
-instance on the graph and invalidates it when nodes or nets are added.
+per graph and reused across every kernel invocation of the compile that
+owns the graph.  Its scratch arrays and distance mirror are mutable, so
+it is never shared between two compiles.  :func:`compile_graph` caches
+the instance on the graph and invalidates it when nodes or nets are
+added.
 """
 
 from __future__ import annotations
@@ -188,27 +190,6 @@ class CompiledGraph:
         dist = self.dist
         for i, net in enumerate(self.nets):
             dist[i] = net.dist
-
-    def rebind(self, graph: CircuitGraph) -> None:
-        """Point the compiled arrays at an isomorphic graph instance.
-
-        The new graph must have identical topology (same node and net
-        names in the same insertion order) — e.g. a graph rebuilt from
-        the same ``.bench`` text.  Only the live object references (and
-        the distance mirror) change; every id and CSR array is reused.
-        """
-        node_names = list(graph.nodes())
-        if node_names != self.node_names:
-            raise ValueError(
-                "cannot rebind CompiledGraph: node sets differ"
-            )
-        nets = list(graph.nets())
-        if [n.name for n in nets] != self.net_names:
-            raise ValueError("cannot rebind CompiledGraph: net sets differ")
-        self.graph = graph
-        self.version = graph.topo_version
-        self.nets = nets
-        self.reload_dist()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -57,10 +57,6 @@ class GateType(enum.Enum):
     def is_sequential(self) -> bool:
         return self is GateType.DFF
 
-    @property
-    def is_inverter(self) -> bool:
-        return self is GateType.NOT
-
 
 #: Gate types that are purely combinational.
 COMBINATIONAL_TYPES = frozenset(t for t in GateType if not t.is_sequential)

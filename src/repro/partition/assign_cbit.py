@@ -113,10 +113,6 @@ class AssignCBITResult:
     n_partitions: int
     n_merges: int
 
-    @property
-    def cut_net_count(self) -> int:
-        return len(self.partition.cut_nets())
-
 
 def _union_input_count(
     graph: CircuitGraph, clusters: Sequence[Cluster]

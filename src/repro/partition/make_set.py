@@ -69,10 +69,6 @@ class CutState:
                 self.net_scc[net_id[name]] = k
 
     # ------------------------------------------------------------------
-    def is_boundary_net(self, net: Net) -> bool:
-        """True for nets that are free register boundaries (PI/DFF source)."""
-        return self.graph.kind(net.source) is not NodeKind.COMB
-
     def sync_dist(self) -> None:
         """Refresh the compiled distance mirror from the live nets."""
         self.cg.reload_dist()

@@ -53,10 +53,6 @@ class RetimedCircuit:
     n_registers_before: int
     n_registers_after: int
 
-    @property
-    def register_delta(self) -> int:
-        return self.n_registers_after - self.n_registers_before
-
 
 def apply_retiming(
     netlist: Netlist,

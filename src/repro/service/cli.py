@@ -71,26 +71,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="admitted-but-unfinished bound; beyond it submissions get 429",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="farm worker processes per execution (1 = inline, default)",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         default=300.0,
         metavar="SEC",
         help="default + ceiling per-request deadline (enforced off the "
         "main thread by the watchdog)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra farm attempts per failing request",
     )
     parser.add_argument(
         "--cache",
@@ -167,9 +153,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
         port=args.port,
         workers=args.workers,
         queue_capacity=args.queue_capacity,
-        jobs=args.jobs,
         timeout=args.timeout,
-        retries=args.retries,
         cache_dir=args.cache,
         drain_grace=args.drain_grace,
         hot_entries=args.hot_entries,

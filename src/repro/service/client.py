@@ -200,10 +200,6 @@ class ServiceClient:
         document = self._checked("POST", "/v1/sweep", {"points": submissions})
         return document["results"]
 
-    def base_url(self) -> str:
-        """The service endpoint as a URL string (for logs and messages)."""
-        return f"http://{self.host}:{self.port}"
-
     @classmethod
     def from_url(cls, url: str, timeout: float = 600.0) -> "ServiceClient":
         """Build a client from ``http://host:port`` (scheme optional)."""

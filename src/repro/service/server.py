@@ -122,13 +122,9 @@ class ServiceConfig:
         queue_capacity: maximum admitted-but-unfinished primary
             requests (running + queued); beyond this, submissions are
             rejected with a ``429`` payload instead of queueing.
-        jobs: farm worker processes per execution (``1`` = inline in
-            the executor thread — the right default for a service that
-            parallelizes across requests, not within them).
         timeout: default + ceiling per-request deadline in seconds
             (``None`` = no limit; a submission's own ``timeout`` may
             only lower it).
-        retries: farm attempts beyond the first per request.
         cache_dir: on-disk result cache directory (``None`` = no cache;
             coalescing still works for concurrent duplicates).
         drain_grace: seconds :meth:`CompileService.drain` waits for
@@ -136,7 +132,7 @@ class ServiceConfig:
         retry_after: ``Retry-After`` hint (seconds) sent with
             backpressure rejections.
         belt_slack: extra seconds the event-loop belt timeout grants
-            beyond the per-attempt deadlines before abandoning an
+            beyond the request's deadline before abandoning an
             execution whose in-thread watchdog failed to fire.
         allow_fault_kinds: admit underscore-prefixed fault-injection
             task kinds (``_sleep``/``_spin``/``_raise``/``_exit``/...)
@@ -158,9 +154,7 @@ class ServiceConfig:
     port: int = 8356
     workers: int = 2
     queue_capacity: int = 16
-    jobs: int = 1
     timeout: Optional[float] = 300.0
-    retries: int = 0
     cache_dir: Optional[str] = None
     drain_grace: float = 30.0
     retry_after: float = 1.0
@@ -278,8 +272,8 @@ def parse_submission(
         )
     if str(kind).startswith("_") and not allow_fault_kinds:
         # Fault-injection kinds run arbitrary failure paths —
-        # _exit would os._exit() the service process itself when
-        # jobs=1 runs the point inline on an executor thread.
+        # _exit would os._exit() the service process itself, since
+        # every point runs inline on an executor thread.
         raise ValueError(
             f"fault-injection kind {kind!r} is disabled; set "
             f"ServiceConfig.allow_fault_kinds for test deployments"
@@ -694,13 +688,13 @@ class CompileService:
     async def _run_point(
         self, point: SweepPoint, key: str, deadline_s: Optional[float]
     ) -> Dict[str, object]:
-        """Execute one admitted point on an executor thread."""
-        farm = SweepFarm(
-            jobs=self.config.jobs,
-            timeout=deadline_s,
-            retries=self.config.retries,
-            cache=self.cache,
-        )
+        """Execute one admitted point inline on an executor thread.
+
+        One attempt, no worker processes: the service parallelizes
+        across requests, not within one, and a compile is deterministic,
+        so a retry would only fail the same way again.
+        """
+        farm = SweepFarm(timeout=deadline_s, retries=0, cache=self.cache)
         loop = asyncio.get_running_loop()
         t0 = time.perf_counter()
         call = loop.run_in_executor(self._executor, farm.map, [point])
@@ -710,10 +704,7 @@ class CompileService:
         # timeout row; the stranded thread is abandoned.
         belt = None
         if deadline_s is not None:
-            belt = (
-                deadline_s * (self.config.retries + 1)
-                + self.config.belt_slack
-            )
+            belt = deadline_s + self.config.belt_slack
         try:
             if belt is None:
                 results = await call

@@ -103,10 +103,6 @@ class CombSimulator:
             values[cell.output] = out & mask
         return values
 
-    def outputs_word(self, values: Mapping[str, int]) -> List[int]:
-        """Primary-output words in declaration order."""
-        return [values[o] for o in self.netlist.outputs]
-
 
 class ScalarSimulator:
     """Reference oracle: one pattern at a time, plain 0/1 signal values.

@@ -1,17 +1,26 @@
 """Saturate_Network (Table 3) and the congestion distance function."""
 
 import math
+import random
 
 import pytest
 
+from repro.circuits import load_circuit
 from repro.config import MercedConfig
 from repro.flow import (
+    FlowIndex,
     distance_levels,
     inject_flow,
     saturate_network,
     update_distance,
 )
-from repro.graphs import CircuitGraph, NodeKind, build_circuit_graph
+from repro.graphs import (
+    CircuitGraph,
+    NodeKind,
+    build_circuit_graph,
+    compile_graph,
+    dijkstra_tree,
+)
 
 
 class TestDistanceFunction:
@@ -34,6 +43,31 @@ class TestDistanceFunction:
         levels = distance_levels(s27_graph)
         assert levels == sorted(levels, reverse=True)
         assert len(levels) == len(set(levels))
+
+
+class TestFlowIndex:
+    """The indexed hot loop agrees with the string-keyed references."""
+
+    @pytest.mark.parametrize("name", ["s27", "s510", "s641"])
+    def test_trees_and_injections_match_reference(self, name):
+        cfg = MercedConfig()
+        graph = build_circuit_graph(load_circuit(name), with_po_nodes=False)
+        graph.reset_flow_state(cap=cfg.cap)
+        index = FlowIndex(compile_graph(graph))
+        nets = [graph.net(net_name) for net_name in index.net_names]
+        nodes = list(graph.nodes())
+        rng = random.Random(1996)
+        for _ in range(60):
+            source = rng.choice(nodes)
+            tree, _ = index.tree_nets_from(source)
+            reference = dijkstra_tree(graph, source).tree_nets()
+            assert len(tree) == len(set(tree))
+            assert {index.net_names[i] for i in tree} == set(reference)
+            index.inject(tree, cfg.delta, cfg.alpha)
+            for net_name in reference:
+                inject_flow(graph.net(net_name), cfg.delta, cfg.alpha)
+            assert index.flow == [net.flow for net in nets]
+            assert index.dist == [net.dist for net in nets]
 
 
 class TestSaturation:

@@ -114,22 +114,6 @@ def test_compile_graph_caches_and_invalidates():
     assert "late_node" in cg2.node_id
 
 
-def test_rebind_swaps_objects_and_rejects_mismatch():
-    nl = load_circuit("s27")
-    g1 = build_circuit_graph(nl, with_po_nodes=False)
-    g2 = build_circuit_graph(nl, with_po_nodes=False)
-    cg = CompiledGraph(g1)
-    for net in g2.nets():
-        net.dist = 7.5
-    cg.rebind(g2)
-    assert cg.graph is g2
-    assert all(d == 7.5 for d in cg.dist)
-    g2.add_node("extra", NodeKind.COMB)
-    g3 = build_circuit_graph(load_circuit("s510"), with_po_nodes=False)
-    with pytest.raises(ValueError):
-        cg.rebind(g3)
-
-
 def test_reload_dist_tracks_net_mutation():
     graph = build_circuit_graph(load_circuit("s27"), with_po_nodes=False)
     cg = compile_graph(graph)

@@ -4,13 +4,16 @@ Concurrent submissions of generated (non-bundled) circuits must come
 back byte-identical to inline :class:`~repro.core.merced.Merced` runs —
 the corpus circuits travel as raw ``.bench`` text in the request body,
 so this also covers the service's bench-ingestion path at sizes the
-bundled ISCAS suite doesn't reach.
+bundled ISCAS suite doesn't reach.  One circuit is also submitted at two
+seeds at once, so two executor threads compile the same ``.bench`` text
+concurrently; each compile must work on its own graph.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -21,8 +24,18 @@ from repro.exec.task import merced_payload
 from repro.netlist.bench import write_bench
 from repro.service import ServiceClient, ServiceConfig, ServiceThread
 
-TIER1_CIRCUITS = ["corpus-ff400", "corpus-ring600"]
 LK, SEED = 16, 1996
+#: (circuit, seed) inputs in submission order.  The same circuit comes
+#: first at two seeds, so the service's two executor threads compile it
+#: at the same time.
+TIER1_INPUTS = [
+    ("corpus-ff400", SEED),
+    ("corpus-ff400", SEED + 1),
+    ("corpus-ring600", SEED),
+]
+#: Seconds between consecutive submissions: each compile starts after
+#: the previous one has parsed its circuit, and still overlaps it.
+STAGGER_S = 0.2
 
 
 @pytest.fixture
@@ -43,33 +56,39 @@ def boot(tmp_path):
     handle.stop()
 
 
-def _inline_payload(name):
+def _inline_payload(name, seed=SEED):
     netlist = load_corpus_circuit(name)
-    report = Merced(MercedConfig(seed=SEED, lk=LK)).run(netlist)
+    report = Merced(MercedConfig(seed=seed, lk=LK)).run(netlist)
     return merced_payload(report)
 
 
-def _submit(client, name):
+def _submit(client, name, seed=SEED):
     netlist = load_corpus_circuit(name)
     return client.compile_point(
-        circuit=name, bench=write_bench(netlist), lk=LK, seed=SEED
+        circuit=name, bench=write_bench(netlist), lk=LK, seed=seed
     )
 
 
-def _run_concurrently(client, names):
-    barrier = threading.Barrier(len(names))
+def _run_concurrently(client, inputs):
+    """Submit each ``(name, seed)`` input ``STAGGER_S`` after the last.
+
+    Returns the rows keyed by input.
+    """
+    barrier = threading.Barrier(len(inputs))
     rows = {}
     errors = []
 
-    def target(name):
+    def target(position, item):
         barrier.wait()
+        time.sleep(STAGGER_S * position)
         try:
-            rows[name] = _submit(client, name)
+            rows[item] = _submit(client, *item)
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=target, args=(n,)) for n in names
+        threading.Thread(target=target, args=pair)
+        for pair in enumerate(inputs)
     ]
     for t in threads:
         t.start()
@@ -82,24 +101,24 @@ def _run_concurrently(client, names):
 
 
 def test_corpus_service_matches_inline_concurrently(boot):
-    rows = _run_concurrently(boot, TIER1_CIRCUITS)
-    for name in TIER1_CIRCUITS:
-        row = rows[name]
+    rows = _run_concurrently(boot, TIER1_INPUTS)
+    for name, seed in TIER1_INPUTS:
+        row = rows[name, seed]
         assert row["ok"], row
-        inline = _inline_payload(name)
+        inline = _inline_payload(name, seed)
         assert json.dumps(row["value"], sort_keys=True) == json.dumps(
             inline, sort_keys=True
-        ), f"{name}: service payload differs from inline run"
+        ), f"{name} (seed {seed}): service payload differs from inline run"
 
 
 @pytest.mark.slow
 def test_corpus_service_matches_inline_full_corpus(boot):
-    names = sorted(SEED_CORPUS_SPECS)
-    rows = _run_concurrently(boot, names)
-    for name in names:
-        row = rows[name]
+    inputs = [(name, SEED) for name in sorted(SEED_CORPUS_SPECS)]
+    rows = _run_concurrently(boot, inputs)
+    for name, seed in inputs:
+        row = rows[name, seed]
         assert row["ok"], row
-        inline = _inline_payload(name)
+        inline = _inline_payload(name, seed)
         assert json.dumps(row["value"], sort_keys=True) == json.dumps(
             inline, sort_keys=True
         )
