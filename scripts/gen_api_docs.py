@@ -101,7 +101,9 @@ lets `Make_Set` re-run its DFS thousands of times without per-split
 set churn. The compiled view is built lazily once per circuit and
 cached on the graph keyed by its `topo_version`: structural mutation
 (`add_node`/`add_net`) invalidates it, while mutable per-net flow
-state does not — kernels refresh distances with `reload_dist()`.
+state does not. A `CutState` loads the distance mirror once, with
+`reload_dist()`, when it is built; its SCC-budget pin then writes both
+the mirror and `Net.dist`.
 One `CompiledGraph` is therefore shared by Tarjan SCC, `Make_Group`,
 `Assign_CBIT` and `FlowIndex` within one compile. It is never shared
 between compiles: the flow state and scratch arrays are mutable, so

@@ -51,7 +51,7 @@ def register_dependency_graph(graph: CircuitGraph) -> CircuitGraph:
         seen = {r}
         while stack:
             node = stack.pop()
-            for net in graph.out_net_objects(node):
+            for net in graph.out_nets(node):
                 for sink in net.sinks:
                     if sink in seen:
                         continue
@@ -77,7 +77,7 @@ def greedy_mfvs(dep: CircuitGraph) -> Set[str]:
 
     def live_successors(node: str) -> List[str]:
         out = []
-        for net in dep.out_net_objects(node):
+        for net in dep.out_nets(node):
             out.extend(s for s in net.sinks if s not in removed)
         return out
 

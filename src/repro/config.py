@@ -74,6 +74,20 @@ class MercedConfig:
     optimize_budget: float = 5.0
 
     def __post_init__(self) -> None:
+        # Service submissions are JSON, so a field can arrive as any JSON
+        # type: 3.5 for l_k, "no" (truthy) for merge_clusters, true for a
+        # count.  bool is an int subclass, so it is named explicitly.
+        for name in ("lk", "min_visit", "beta"):
+            _check_type(name, getattr(self, name), (int,))
+        for name in ("seed", "max_sources"):
+            if getattr(self, name) is not None:
+                _check_type(name, getattr(self, name), (int,))
+        for name in ("delta", "alpha", "cap", "optimize_budget"):
+            _check_type(name, getattr(self, name), (int, float))
+        if not isinstance(self.merge_clusters, bool):
+            raise ConfigError(
+                f"merge_clusters must be a bool, got {self.merge_clusters!r}"
+            )
         # NaN passes every ordered comparison below (and inf the lower
         # bounds), so non-finite numbers are rejected up front.
         for f in fields(self):
@@ -145,6 +159,13 @@ class MercedConfig:
         entries via the changed code hash).
         """
         return dict(sorted(asdict(self).items()))
+
+
+def _check_type(name: str, value: object, types: tuple) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is one of ``types``."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
 
 
 #: The paper's published parameter set.

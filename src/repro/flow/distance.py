@@ -9,40 +9,34 @@ exactly the nets the paper cuts first (highest ``d``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+import sys
+from typing import List
 
 from ..graphs.digraph import CircuitGraph, Net
 
 __all__ = ["exp_distance", "update_distance", "distance_levels", "inject_flow"]
 
-#: Memo of ``exp(x)`` keyed on the exact float exponent.  Saturation
-#: re-evaluates ``d(e)`` after every flow injection, but with uniform Δ and
-#: capacity the exponent takes only as many distinct values as there are
-#: distinct injection counts — a few hundred on even the largest circuits —
-#: so the transcendental is computed once per level instead of once per
-#: injection (millions of times on the s38xxx benches).
-_EXP_CACHE: Dict[float, float] = {}
-_EXP_CACHE_LIMIT = 1 << 16
-
 
 def exp_distance(exponent: float) -> float:
-    """``exp(exponent)`` with memoization over repeated exponent values.
+    """``d(e) = exp(exponent)``, saturating at the largest finite float.
 
-    Bit-identical to :func:`math.exp` — the cache only skips recomputing
-    the same float argument, it never substitutes a nearby value.
+    Past about 709.78 the exponential leaves the double range, which
+    long saturations reach at the paper's default parameters on a net
+    that nearly every shortest-path tree crosses.  Such a net gets
+    ``sys.float_info.max``, not ``inf``: ``Make_Group``'s first grouping
+    uses the boundary ``inf`` to cut nothing, and an ``inf`` distance
+    would be cut there.
 
-    >>> import math
+    >>> import math, sys
     >>> exp_distance(0.08) == math.exp(0.08)
+    True
+    >>> exp_distance(1000.0) == sys.float_info.max
     True
     """
     try:
-        return _EXP_CACHE[exponent]
-    except KeyError:
-        value = math.exp(exponent)
-        if len(_EXP_CACHE) >= _EXP_CACHE_LIMIT:  # pragma: no cover - bound
-            _EXP_CACHE.clear()
-        _EXP_CACHE[exponent] = value
-        return value
+        return math.exp(exponent)
+    except OverflowError:
+        return sys.float_info.max
 
 
 def update_distance(net: Net, alpha: float) -> float:

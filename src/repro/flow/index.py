@@ -25,10 +25,11 @@ asserts this tree by tree).
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import List, Sequence, Tuple
 
 from ..graphs.csr import CompiledGraph
-from .distance import exp_distance
 
 __all__ = ["FlowIndex"]
 
@@ -45,9 +46,9 @@ class FlowIndex:
 
     The index shares the compiled view's interning tables and CSR
     adjacency (both follow graph insertion order, so ids are
-    interchangeable) and snapshots every net's ``flow``/``dist``/
-    ``cap``/``removed`` at construction.  Saturation always runs on a
-    freshly reset, uncut graph, so the snapshot never goes stale.
+    interchangeable) and snapshots every net's ``flow``/``dist``/``cap``
+    at construction.  Saturation always runs on a freshly reset graph,
+    so the snapshot never goes stale.
     """
 
     def __init__(self, compiled: CompiledGraph):
@@ -58,7 +59,7 @@ class FlowIndex:
         self._nets = nets
         self.net_names = compiled.net_names
         # adjacency rows straight off the CSR arrays (same net order as
-        # graph.out_net_objects: both follow graph insertion order)
+        # graph.out_nets: both follow graph insertion order)
         out_start = compiled.out_start
         out_net_ids = compiled.out_net_ids
         sink_start = compiled.sink_start
@@ -76,7 +77,6 @@ class FlowIndex:
         self.flow: List[float] = [net.flow for net in nets]
         self.dist: List[float] = [net.dist for net in nets]
         self.cap: List[float] = [net.cap for net in nets]
-        self.removed: List[bool] = [net.removed for net in nets]
         # version-stamped per-run scratch (no per-run allocation)
         n = len(self.node_names)
         self._run = 0
@@ -113,7 +113,7 @@ class FlowIndex:
             self._tdist,
             self._parent,
         )
-        adj, ndist, removed = self.adj, self.dist, self.removed
+        adj, ndist = self.adj, self.dist
         heappush, heappop = heapq.heappush, heapq.heappop
         seen[src] = run
         tdist[src] = 0.0
@@ -130,8 +130,6 @@ class FlowIndex:
             done[node] = run
             settle(node)
             for net_i, sinks in adj[node]:
-                if removed[net_i]:
-                    continue
                 nd = d + ndist[net_i]
                 for sink in sinks:
                     if done[sink] == run:
@@ -158,13 +156,19 @@ class FlowIndex:
         """Add ``Δ`` of flow to each net and refresh its distance.
 
         Float-for-float identical to calling
-        :func:`repro.flow.distance.inject_flow` on each net.
+        :func:`repro.flow.distance.inject_flow` on each net, including
+        :func:`~repro.flow.distance.exp_distance`'s overflow rule,
+        applied inline here because this is the saturation's hot loop.
         """
         flow, dist, cap = self.flow, self.dist, self.cap
+        exp = math.exp
         for i in net_indices:
             f = flow[i] + delta
             flow[i] = f
-            dist[i] = exp_distance(alpha * f / cap[i])
+            try:
+                dist[i] = exp(alpha * f / cap[i])
+            except OverflowError:
+                dist[i] = sys.float_info.max
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

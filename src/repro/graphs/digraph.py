@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from ..errors import GraphError
 
@@ -39,9 +39,9 @@ class NodeKind(enum.Enum):
 class Net:
     """One multi-pin net: a source node and its fan-out branches.
 
-    The mutable fields (``cap``, ``flow``, ``dist``, ``removed``) carry the
-    state of the probabilistic multicommodity-flow procedure; ``dist`` is
-    the congestion distance ``d(e)`` of Table 3.
+    The mutable fields (``cap``, ``flow``, ``dist``) carry the state of
+    the probabilistic multicommodity-flow procedure; ``dist`` is the
+    congestion distance ``d(e)`` of Table 3.
     """
 
     name: str
@@ -50,22 +50,19 @@ class Net:
     cap: float = 1.0
     flow: float = 0.0
     dist: float = 1.0
-    removed: bool = False
 
     def reset_flow(self, cap: float = 1.0) -> None:
         """Restore the pristine pre-saturation state (Table 3, STEP 1)."""
         self.cap = cap
         self.flow = 0.0
         self.dist = 1.0
-        self.removed = False
 
     @property
     def fanout(self) -> int:
         return len(self.sinks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = " cut" if self.removed else ""
-        return f"<Net {self.name}: {self.source} -> {list(self.sinks)}{status}>"
+        return f"<Net {self.name}: {self.source} -> {list(self.sinks)}>"
 
 
 class CircuitGraph:
@@ -77,7 +74,6 @@ class CircuitGraph:
         self._nets: Dict[str, Net] = {}
         self._out: Dict[str, List[str]] = {}  # node -> net names it sources
         self._in: Dict[str, List[str]] = {}  # node -> net names feeding it
-        self._out_objs: Optional[Dict[str, Tuple[Net, ...]]] = None  # hot-path cache
         self._topo_version = 0  # bumped on add_node/add_net; see topo_version
 
     # ------------------------------------------------------------------
@@ -108,7 +104,6 @@ class CircuitGraph:
         self._out[source].append(name)
         for s in sinks:
             self._in[s].append(name)
-        self._out_objs = None
         self._topo_version += 1
         return net
 
@@ -137,10 +132,8 @@ class CircuitGraph:
     def comb_nodes(self) -> List[str]:
         return [n for n, k in self._kinds.items() if k is NodeKind.COMB]
 
-    def nets(self, include_removed: bool = True) -> Iterator[Net]:
-        if include_removed:
-            return iter(self._nets.values())
-        return (n for n in self._nets.values() if not n.removed)
+    def nets(self) -> Iterator[Net]:
+        return iter(self._nets.values())
 
     def net(self, name: str) -> Net:
         try:
@@ -151,44 +144,29 @@ class CircuitGraph:
     def has_net(self, name: str) -> bool:
         return name in self._nets
 
-    def out_nets(self, node: str, include_removed: bool = True) -> List[Net]:
-        """Nets sourced at ``node`` (optionally hiding removed/cut nets)."""
-        nets = (self._nets[n] for n in self._out[node])
-        return [n for n in nets if include_removed or not n.removed]
+    def out_nets(self, node: str) -> List[Net]:
+        """Nets sourced at ``node``."""
+        return [self._nets[n] for n in self._out[node]]
 
-    def out_net_objects(self, node: str) -> Tuple[Net, ...]:
-        """Cached tuple of all nets sourced at ``node`` (removed included).
-
-        Hot-path accessor for Dijkstra/DFS inner loops; callers filter on
-        ``net.removed`` themselves.
-        """
-        if self._out_objs is None:
-            self._out_objs = {
-                n: tuple(self._nets[name] for name in names)
-                for n, names in self._out.items()
-            }
-        return self._out_objs[node]
-
-    def in_nets(self, node: str, include_removed: bool = True) -> List[Net]:
+    def in_nets(self, node: str) -> List[Net]:
         """Nets with a branch sinking at ``node``."""
-        nets = (self._nets[n] for n in self._in[node])
-        return [n for n in nets if include_removed or not n.removed]
+        return [self._nets[n] for n in self._in[node]]
 
-    def successors(self, node: str, include_removed: bool = True) -> List[str]:
+    def successors(self, node: str) -> List[str]:
         """Distinct nodes reachable over one net branch from ``node``."""
         seen: Set[str] = set()
         out: List[str] = []
-        for net in self.out_nets(node, include_removed):
+        for net in self.out_nets(node):
             for s in net.sinks:
                 if s not in seen:
                     seen.add(s)
                     out.append(s)
         return out
 
-    def predecessors(self, node: str, include_removed: bool = True) -> List[str]:
+    def predecessors(self, node: str) -> List[str]:
         seen: Set[str] = set()
         out: List[str] = []
-        for net in self.in_nets(node, include_removed):
+        for net in self.in_nets(node):
             if net.source not in seen:
                 seen.add(net.source)
                 out.append(net.source)
@@ -211,10 +189,6 @@ class CircuitGraph:
     def n_nets(self) -> int:
         return len(self._nets)
 
-    def cut_nets(self) -> List[Net]:
-        """Nets currently marked as removed (the cut set χ)."""
-        return [n for n in self._nets.values() if n.removed]
-
     # ------------------------------------------------------------------
     # flow state management
     # ------------------------------------------------------------------
@@ -222,11 +196,6 @@ class CircuitGraph:
         """Re-initialize all nets' flow/congestion state (Table 3, STEP 1)."""
         for net in self._nets.values():
             net.reset_flow(cap)
-
-    def restore_cuts(self) -> None:
-        """Un-remove every net, keeping flow/distance values."""
-        for net in self._nets.values():
-            net.removed = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

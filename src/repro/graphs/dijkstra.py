@@ -73,17 +73,12 @@ class ShortestPathTree:
     _net_source: Dict[str, str] = field(default_factory=dict)
 
 
-def dijkstra_tree(
-    graph: CircuitGraph,
-    source: str,
-    use_removed: bool = False,
-) -> ShortestPathTree:
+def dijkstra_tree(graph: CircuitGraph, source: str) -> ShortestPathTree:
     """Shortest-path tree from ``source`` over net distances ``d(e)``.
 
     Args:
         graph: the circuit graph carrying per-net ``dist`` values.
         source: root node.
-        use_removed: when false (default), cut nets are not traversed.
 
     Returns:
         A :class:`ShortestPathTree` covering every node reachable from
@@ -100,9 +95,7 @@ def dijkstra_tree(
         if node in done:
             continue
         done.add(node)
-        for net in graph.out_net_objects(node):
-            if net.removed and not use_removed:
-                continue
+        for net in graph.out_nets(node):
             nd = d + net.dist
             for sink in net.sinks:
                 if sink in done:

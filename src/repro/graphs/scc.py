@@ -162,7 +162,7 @@ def strongly_connected_components_reference(
     return result
 
 
-@dataclass
+@dataclass(frozen=True)
 class SCCInfo:
     """One non-trivial strongly connected component ``λ``."""
 
@@ -170,7 +170,6 @@ class SCCInfo:
     nodes: Tuple[str, ...]
     register_count: int  # f(λ): DFF nodes inside the SCC
     internal_nets: Tuple[str, ...]  # nets with source and ≥1 sink in λ
-    cut_count: int = 0  # c(λ): cuts charged so far (Table 7, STEP 2.1.1)
 
     @property
     def size(self) -> int:
@@ -182,11 +181,16 @@ class SCCInfo:
 
 
 class SCCIndex:
-    """Node → SCC lookup plus per-SCC retiming bookkeeping.
+    """Node → SCC lookup plus each SCC's registers and internal nets.
 
     Only *non-trivial* SCCs are tracked: components with more than one node,
     or a single node with a self net (a cell feeding itself through one
     net).  Nodes outside any cycle map to ``None``.
+
+    The index is read-only once built.  Cut charges ``c(λ)`` belong to
+    whoever charges them (:class:`~repro.partition.make_set.CutState`,
+    the optimizer's move engine), so one index can serve the lint gate,
+    area accounting and the optimizer alike.
     """
 
     def __init__(self, graph: CircuitGraph):
@@ -267,10 +271,6 @@ class SCCIndex:
     def registers_on_sccs(self) -> int:
         """Total DFFs sitting on cycles (the paper's "DFFs on SCC" column)."""
         return sum(s.register_count for s in self._sccs)
-
-    def reset_cut_counts(self) -> None:
-        for s in self._sccs:
-            s.cut_count = 0
 
     def __len__(self) -> int:
         return len(self._sccs)

@@ -181,7 +181,8 @@ def make_group(
     """Partition ``graph`` into clusters with ``ι(ϖ) ≤ l_k``.
 
     Args:
-        graph: the circuit graph (mutated: flow state and cut flags).
+        graph: the circuit graph (mutated: its nets' flow state, and
+            the distances a budget exhaustion pins to 0).
         scc_index: precomputed SCC index; built here if omitted.
         config: Merced parameters (``l_k``, β, and the saturation knobs).
         locked: node names Merced must not regroup (kept as singletons).

@@ -37,10 +37,17 @@ __all__ = ["CutState", "make_set", "make_set_reference"]
 class CutState:
     """Mutable cut bookkeeping shared across ``Make_Set`` invocations.
 
-    Tracks the explicit cut registry ``χ``, the per-SCC charge counters
-    ``c(λ)`` and the nets pinned traversable after a budget exhaustion.
-    The name sets ``cut``/``forced`` stay authoritative for callers; the
-    parallel per-net-id byte flags are what the compiled kernels test.
+    Tracks the explicit cut registry ``χ``, the per-SCC charges ``c(λ)``
+    (``scc_cuts``, indexed like ``scc_index.sccs()``) and the nets pinned
+    traversable after a budget exhaustion.  The name sets
+    ``cut``/``forced`` stay authoritative for callers; the parallel
+    per-net-id byte flags are what the compiled kernels test.
+
+    A ``CutState`` reads ``Net.dist`` once, when it is built, into the
+    compiled distance mirror the kernels read.  After that its own
+    budget pin is the only writer of distances, and it writes both
+    copies.  The reference :meth:`traversable` re-reads the one net it
+    is handed.
     """
 
     def __init__(self, graph: CircuitGraph, scc_index: SCCIndex, beta: int):
@@ -50,7 +57,6 @@ class CutState:
         self.cut: Set[str] = set()
         self.forced: Set[str] = set()
         self.budget_exhaustions = 0
-        scc_index.reset_cut_counts()
         # compiled mirrors -------------------------------------------------
         cg = compile_graph(graph)
         self.cg = cg
@@ -61,6 +67,7 @@ class CutState:
         infos = list(scc_index.sccs())
         self._scc_infos = infos
         self._budget = [info.cut_budget(beta) for info in infos]
+        self.scc_cuts: List[int] = [0] * len(infos)
         #: per-net SCC index into ``_scc_infos`` (-1 = not on any SCC)
         self.net_scc: List[int] = [-1] * m
         for k, info in enumerate(infos):
@@ -69,10 +76,6 @@ class CutState:
                 self.net_scc[net_id[name]] = k
 
     # ------------------------------------------------------------------
-    def sync_dist(self) -> None:
-        """Refresh the compiled distance mirror from the live nets."""
-        self.cg.reload_dist()
-
     def traversable(self, net: Net, boundary: float) -> bool:
         """Decide (and record) whether DFS may cross ``net``.
 
@@ -86,7 +89,7 @@ class CutState:
         return self.traversable_id(i, boundary)
 
     def traversable_id(self, i: int, boundary: float) -> bool:
-        """Compiled :meth:`traversable` on a net id (mirror assumed fresh)."""
+        """Compiled :meth:`traversable` on a net id."""
         cg = self.cg
         if cg.boundary_net[i]:
             return False  # free boundary: cluster ends here, no cut charged
@@ -102,9 +105,8 @@ class CutState:
             self.cut_b[i] = 1
             self.cut.add(cg.net_names[i])
             return False
-        info = self._scc_infos[k]
-        if info.cut_count < self._budget[k]:
-            info.cut_count += 1
+        if self.scc_cuts[k] < self._budget[k]:
+            self.scc_cuts[k] += 1
             self.cut_b[i] = 1
             self.cut.add(cg.net_names[i])
             return False
@@ -114,7 +116,7 @@ class CutState:
         net_id = cg.net_id
         dist = cg.dist
         nets = cg.nets
-        for name in info.internal_nets:
+        for name in self._scc_infos[k].internal_nets:
             j = net_id[name]
             if not self.cut_b[j]:
                 self.forced_b[j] = 1
@@ -141,7 +143,7 @@ def make_set(
         nodes: candidate members (register/combinational nodes). Primary
             inputs are ignored if present.
         boundary: current distance threshold (Table 4's Extract_Max value).
-        state: shared :class:`CutState`.
+        state: shared :class:`CutState`, built on ``graph``.
         locked: nodes Merced must not touch (Table 5, STEP 2.1); they are
             returned each as their own singleton cluster.
 
@@ -150,12 +152,9 @@ def make_set(
         in discovery order.  Bit-identical to :func:`make_set_reference`
         (same groups, same order, same cut/forced side effects).
     """
-    if state.cg.graph is not graph:
-        # state compiled against a different graph instance: stay exact
-        return make_set_reference(graph, nodes, boundary, state, locked)
+    nodes = list(nodes)
     locked = locked or set()
     cg = state.cg
-    state.sync_dist()
     kind = cg.kind
     node_id = cg.node_id
     node_names = cg.node_names
@@ -225,9 +224,9 @@ def make_set(
                         stack.append(s)
         groups.append({node_names[i] for i in group_ids})
     perf_count("dfs_visits", visits)
-    for node in sorted(locked):
-        if node in set(nodes):
-            groups.append({node})
+    if locked:
+        listed = set(nodes)
+        groups.extend({node} for node in sorted(locked) if node in listed)
     return groups
 
 
@@ -239,6 +238,7 @@ def make_set_reference(
     locked: Optional[Set[str]] = None,
 ) -> List[Set[str]]:
     """Original string-keyed ``Make_Set``, kept as the equivalence oracle."""
+    nodes = list(nodes)
     locked = locked or set()
     members = {
         n
@@ -267,7 +267,7 @@ def make_set_reference(
                         assigned.add(neighbor)
                         stack.append(neighbor)
         groups.append(group)
-    for node in sorted(locked):
-        if node in set(nodes):
-            groups.append({node})
+    if locked:
+        listed = set(nodes)
+        groups.extend({node} for node in sorted(locked) if node in listed)
     return groups

@@ -2,14 +2,17 @@
 
 import math
 import random
+import sys
 
 import pytest
 
 from repro.circuits import load_circuit
 from repro.config import MercedConfig
+from repro.core.merced import Merced
 from repro.flow import (
     FlowIndex,
     distance_levels,
+    exp_distance,
     inject_flow,
     saturate_network,
     update_distance,
@@ -36,6 +39,11 @@ class TestDistanceFunction:
         inject_flow(net, delta=0.01, alpha=4.0)
         assert net.flow == pytest.approx(0.02)
         assert net.dist == pytest.approx(math.exp(0.08))
+
+    def test_overflow_gives_largest_finite_float(self):
+        """Not inf: Make_Group's first grouping cuts only d >= inf."""
+        assert exp_distance(709.0) == math.exp(709.0)
+        assert exp_distance(710.0) == sys.float_info.max
 
     def test_distance_levels_sorted_desc(self, s27_graph):
         for i, net in enumerate(s27_graph.nets()):
@@ -69,6 +77,24 @@ class TestFlowIndex:
             assert index.flow == [net.flow for net in nets]
             assert index.dist == [net.dist for net in nets]
 
+    def test_overflowing_net_matches_reference(self):
+        graph = build_circuit_graph(load_circuit("s27"), with_po_nodes=False)
+        graph.reset_flow_state()
+        index = FlowIndex(compile_graph(graph))
+        nets = [graph.net(net_name) for net_name in index.net_names]
+        # α·flow/cap: 400 after the first injection, 800 (past exp's
+        # double range) after the second
+        for _ in range(2):
+            index.inject([0], 100.0, 4.0)
+            inject_flow(nets[0], 100.0, 4.0)
+        assert nets[0].dist == sys.float_info.max
+        assert index.flow == [net.flow for net in nets]
+        assert index.dist == [net.dist for net in nets]
+        for source in graph.nodes():
+            tree, _ = index.tree_nets_from(source)
+            reference = dijkstra_tree(graph, source).tree_nets()
+            assert {index.net_names[i] for i in tree} == set(reference)
+
 
 class TestSaturation:
     def test_visit_fairness(self, s27_graph):
@@ -101,6 +127,14 @@ class TestSaturation:
         off = [n.flow for n in s27_graph.nets() if not idx.net_on_scc(n.name)]
         assert on and off
         assert max(on) > max(off)
+
+    def test_compiles_past_exp_overflow(self, s27_graph):
+        """Δ = 20 drives α·flow/cap past exp's double range on s27."""
+        config = MercedConfig(lk=3, seed=7, delta=20.0)
+        result = saturate_network(s27_graph, config)
+        assert result.max_dist == sys.float_info.max
+        report = Merced(config).run(load_circuit("s27"))
+        assert all(c.input_count <= 3 for c in report.partition.clusters)
 
     def test_max_sources_cap(self, s27_graph):
         cfg = MercedConfig(min_visit=20, seed=1, max_sources=10)

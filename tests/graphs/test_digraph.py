@@ -67,32 +67,16 @@ class TestQueries:
         assert [n.name for n in g.out_nets("pi")] == ["pi"]
         assert {n.name for n in g.in_nets("c2")} == {"pi", "r"}
 
-    def test_out_net_objects_cached(self, g):
-        first = g.out_net_objects("pi")
-        assert first is g.out_net_objects("pi")
-        g.add_node("c4", NodeKind.COMB)
-        g.add_net("c4n", "c4", ["c1"])  # invalidates cache
-        assert g.out_net_objects("c4")[0].name == "c4n"
-
 
 class TestFlowState:
     def test_reset(self, g):
         net = g.net("pi")
         net.flow = 3.0
         net.dist = 9.0
-        net.removed = True
         g.reset_flow_state(cap=2.0)
         assert net.flow == 0.0
         assert net.dist == 1.0
         assert net.cap == 2.0
-        assert not net.removed
-
-    def test_cut_tracking(self, g):
-        g.net("c1").removed = True
-        assert [n.name for n in g.cut_nets()] == ["c1"]
-        assert [n.name for n in g.out_nets("c1", include_removed=False)] == []
-        g.restore_cuts()
-        assert g.cut_nets() == []
 
     def test_fanout_property(self, g):
         assert g.net("pi").fanout == 2

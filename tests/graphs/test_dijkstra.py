@@ -57,19 +57,6 @@ class TestBasics:
         assert tree.tree_nets() == ["fan"]
 
 
-class TestRemovedNets:
-    def test_removed_net_not_traversed(self, diamond):
-        diamond.net("pa").removed = True
-        tree = dijkstra_tree(diamond, "pi")
-        assert "a" not in tree.dist
-        assert tree.dist["sink"] == 3.0
-
-    def test_use_removed_flag(self, diamond):
-        diamond.net("pa").removed = True
-        tree = dijkstra_tree(diamond, "pi", use_removed=True)
-        assert tree.dist["a"] == 1.0
-
-
 class TestOnCircuits:
     def test_s27_reaches_feedback(self, s27_graph):
         tree = dijkstra_tree(s27_graph, "G0")

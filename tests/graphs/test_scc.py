@@ -107,12 +107,6 @@ class TestSCCIndex:
         assert scc.cut_budget(beta=1) == 2
         assert scc.cut_budget(beta=50) == 100
 
-    def test_reset_cut_counts(self, ring_graph):
-        idx = SCCIndex(ring_graph)
-        idx.sccs()[0].cut_count = 5
-        idx.reset_cut_counts()
-        assert idx.sccs()[0].cut_count == 0
-
     def test_generated_circuit_matches_profile(self, s510):
         g = build_circuit_graph(s510, with_po_nodes=False)
         assert SCCIndex(g).registers_on_sccs() == 6

@@ -5,8 +5,13 @@ heap, incremental merge-gain scoring, SPFA cycle cancelling) claims
 exact equality with its reference counterpart — same clusters in the
 same order, same cut/forced sets, same merge winners under ties, same
 lags and dropped cuts.  Only the retiming round count may differ: the
-two solvers cancel different cycles on the way to the same optimum.  These tests run both paths end to end on random
-feedback circuits and bundled benches and compare everything observable.
+two solvers cancel different cycles on the way to the same optimum.
+These tests run both paths end to end on random feedback circuits and
+bundled benches and compare everything observable: the
+:func:`repro.corpus.fuzz.pipeline_fingerprint` the differential fuzzer
+compares, key by key.  Its reference side runs
+``make_group(use_compiled=False)``, ``assign_cbit_reference`` and
+``solve_cut_retiming_reference``.
 """
 
 import pytest
@@ -16,11 +21,7 @@ from hypothesis import strategies as st
 from repro.circuits import load_circuit
 from repro.circuits.generator import generate_circuit
 from repro.circuits.profiles import CircuitProfile
-from repro.config import MercedConfig
-from repro.graphs import SCCIndex, build_circuit_graph
-from repro.partition import assign_cbit, make_group
-from repro.partition.assign_cbit import assign_cbit_reference
-from repro.retiming.solve import solve_cut_retiming, solve_cut_retiming_reference
+from repro.corpus.fuzz import pipeline_fingerprint
 
 
 @st.composite
@@ -42,51 +43,9 @@ def feedback_profiles(draw):
     )
 
 
-def run_pipeline(netlist, lk, beta, use_compiled):
-    """make_group → assign_cbit → solve_cut_retiming on a fresh graph."""
-    graph = build_circuit_graph(netlist, with_po_nodes=False)
-    scc_index = SCCIndex(graph)
-    config = MercedConfig(seed=1996, lk=lk, beta=beta, min_visit=5)
-    group = make_group(
-        graph, scc_index, config, strict=False, use_compiled=use_compiled
-    )
-    if use_compiled:
-        merged = assign_cbit(group.partition)
-        cuts = merged.partition.cut_nets()
-        solution = solve_cut_retiming(graph, cuts)
-    else:
-        merged = assign_cbit_reference(group.partition)
-        cuts = merged.partition.cut_nets()
-        solution = solve_cut_retiming_reference(graph, cuts)
-    return {
-        "n_splits": group.n_splits,
-        "cut": sorted(group.cut_state.cut),
-        "forced": sorted(group.cut_state.forced),
-        "budget_exhaustions": group.cut_state.budget_exhaustions,
-        "infeasible": [
-            tuple(sorted(c.nodes)) for c in group.infeasible_clusters
-        ],
-        "clusters": [
-            (c.cluster_id, tuple(sorted(c.nodes)), tuple(sorted(c.input_nets)))
-            for c in group.partition.clusters
-        ],
-        "merged": [
-            (c.cluster_id, tuple(sorted(c.nodes)), tuple(sorted(c.input_nets)))
-            for c in merged.partition.clusters
-        ],
-        "cost_dff": merged.cost_dff,
-        "n_merges": merged.n_merges,
-        "cut_nets": cuts,
-        "rho": solution.retiming.rho,
-        "covered": sorted(solution.covered_cuts),
-        "dropped": sorted(solution.dropped_cuts),
-        "unconstrained": sorted(solution.unconstrained_cuts),
-    }
-
-
 def assert_pipelines_identical(netlist, lk, beta):
-    compiled = run_pipeline(netlist, lk, beta, use_compiled=True)
-    reference = run_pipeline(netlist, lk, beta, use_compiled=False)
+    compiled = pipeline_fingerprint(netlist, lk, beta, use_compiled=True)
+    reference = pipeline_fingerprint(netlist, lk, beta, use_compiled=False)
     for key in compiled:
         assert compiled[key] == reference[key], key
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.graphs import SCCIndex, build_circuit_graph
+from repro.graphs import NodeKind, SCCIndex, build_circuit_graph
 from repro.partition import CutState, make_set
+from repro.partition.make_set import make_set_reference
 
 
 @pytest.fixture
@@ -41,8 +42,7 @@ class TestCutDecisions:
         net = ring_graph.net("g1")
         net.dist = 9.0
         ring_state.traversable(net, boundary=5.0)
-        scc = ring_state.scc_index.sccs()[0]
-        assert scc.cut_count == 1
+        assert ring_state.scc_cuts[0] == 1
 
     def test_budget_exhaustion_forces_traversal(self, ring_graph):
         """Eq. 6 with β=1, f=2: the third SCC cut is denied."""
@@ -56,7 +56,7 @@ class TestCutDecisions:
         # ring has only g1, g2 as comb-sourced internal nets, so craft the
         # denial by lowering beta below the charges:
         state2 = CutState(ring_graph, SCCIndex(ring_graph), beta=1)
-        state2.scc_index.sccs()[0].cut_count = 2  # budget pre-exhausted
+        state2.scc_cuts[0] = 2  # budget pre-exhausted
         net = ring_graph.net("g1")
         net.dist = 9.0
         assert state2.traversable(net, 5.0)  # forced traversable
@@ -65,7 +65,7 @@ class TestCutDecisions:
 
     def test_forced_nets_pinned_to_zero_distance(self, ring_graph):
         state = CutState(ring_graph, SCCIndex(ring_graph), beta=1)
-        state.scc_index.sccs()[0].cut_count = 2
+        state.scc_cuts[0] = 2
         ring_graph.net("g1").dist = 9.0
         ring_graph.net("g2").dist = 3.0
         state.traversable(ring_graph.net("g1"), 5.0)
@@ -115,6 +115,23 @@ class TestMakeSet:
             locked={"tail"},
         )
         assert {"tail"} in groups
+
+    @pytest.mark.parametrize("kernel", [make_set, make_set_reference])
+    def test_iterator_input_keeps_locked_nodes(self, s27_graph, kernel):
+        nodes = [
+            n
+            for n in s27_graph.nodes()
+            if s27_graph.kind(n) is not NodeKind.INPUT
+        ]
+        locked = {nodes[0]}
+        groups = {}
+        for label, given in (("list", nodes), ("iter", iter(nodes))):
+            state = CutState(s27_graph, SCCIndex(s27_graph), beta=50)
+            groups[label] = kernel(
+                s27_graph, given, 100.0, state, locked=locked
+            )
+        assert groups["iter"] == groups["list"]
+        assert {nodes[0]} in groups["iter"]
 
     def test_reference_twin_identical(self, s27_graph):
         from repro.graphs import NodeKind

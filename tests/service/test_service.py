@@ -598,6 +598,18 @@ def test_non_finite_config_is_400(boot, field, value):
     assert client.metrics()["counters"]["admitted"] == 0
 
 
+@pytest.mark.parametrize("field, value", [("lk", 3.5), ("merge_clusters", "no")])
+def test_wrong_typed_config_is_400(boot, field, value):
+    """Both used to compile: l_k 3.5 as an ok row cached under its own
+    key, and the truthy string "no" ran the merge."""
+    _, client = boot()
+    with pytest.raises(ServiceRejectedError) as err:
+        client.compile_point(circuit="s27", **{field: value})
+    assert err.value.status == 400
+    assert err.value.payload["error_type"] == "ConfigError"
+    assert client.metrics()["counters"]["admitted"] == 0
+
+
 def test_missing_circuit_and_bench_is_400(boot):
     _, client = boot()
     with pytest.raises(ServiceRejectedError) as err:

@@ -45,11 +45,24 @@ class TestConfig:
             {"optimize_budget": float("nan")},
             {"optimize_budget": float("inf")},
             {"lk": float("nan")},
+            # wrong JSON types from a service submission
+            {"lk": 3.5},
+            {"merge_clusters": "no"},
+            {"seed": 7.0},
+            {"beta": True},
+            {"min_visit": 2.5},
+            {"max_sources": 10.5},
+            {"optimize_budget": True},
+            {"delta": "0.01"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             MercedConfig(**kwargs)
+
+    def test_int_accepted_for_float_fields(self):
+        cfg = MercedConfig(delta=1, alpha=4, cap=2, optimize_budget=3)
+        assert cfg.canonical_dict()["delta"] == 1
 
     def test_with_helpers(self):
         cfg = MercedConfig()

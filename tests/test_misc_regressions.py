@@ -16,7 +16,7 @@ class TestForcedNetsExcludedFromLevels:
         boundaries in later rounds (Table 7 STEP 2.1.2.1 semantics)."""
         idx = SCCIndex(ring_graph)
         state = CutState(ring_graph, idx, beta=1)
-        idx.sccs()[0].cut_count = 99  # force exhaustion
+        state.scc_cuts[0] = 99  # force exhaustion
         net = ring_graph.net("g1")
         net.dist = 7.0
         assert state.traversable(net, boundary=5.0)
