@@ -29,7 +29,7 @@ from conftest import bench_config, emit
 from repro.circuits import load_circuit
 from repro.core import format_table
 from repro.flow.saturate import saturate_network
-from repro.graphs import SCCIndex, build_circuit_graph
+from repro.graphs import SCCIndex, build_circuit_graph, compile_graph
 from repro.partition import assign_cbit, make_group
 from repro.retiming.solve import (
     solve_cut_retiming,
@@ -47,12 +47,13 @@ REFERENCE_COMPARE_STRIDE = 16
 
 
 def snapshot_flow(graph):
-    return {n.name: (n.flow, n.dist, n.cap) for n in graph.nets()}
+    cg = compile_graph(graph)
+    return list(cg.flow), list(cg.dist)
 
 
 def restore_flow(graph, snap):
-    for net in graph.nets():
-        net.flow, net.dist, net.cap = snap[net.name]
+    cg = compile_graph(graph)
+    cg.flow[:], cg.dist[:] = snap
 
 
 def run_pipeline(graph, scc_index, config, snap, use_compiled):

@@ -13,7 +13,7 @@ from repro.circuits import s27_netlist
 from repro.config import MercedConfig
 from repro.core import format_table
 from repro.flow import saturate_network
-from repro.graphs import SCCIndex, build_circuit_graph
+from repro.graphs import SCCIndex, build_circuit_graph, compile_graph
 from repro.partition import assign_cbit, make_group
 
 CFG = MercedConfig(lk=3, seed=7)
@@ -45,16 +45,19 @@ def test_s27_walkthrough(benchmark, output_dir):
         )
     )
 
-    flows = sorted(graph.nets(), key=lambda n: -n.flow)
+    cg = compile_graph(graph)
+    flows = sorted(
+        zip(cg.net_names, cg.flow, cg.dist), key=lambda row: -row[1]
+    )
     sections.append(
         "Figure 5 — congestion after Saturate_Network "
         f"({group.saturation.n_sources} sources)\n"
         + format_table(
             ["net", "flow", "d(e)", "on SCC"],
             [
-                (n.name, round(n.flow, 3), round(n.dist, 3),
-                 "yes" if scc.net_on_scc(n.name) else "")
-                for n in flows
+                (name, round(flow, 3), round(dist, 3),
+                 "yes" if scc.net_on_scc(name) else "")
+                for name, flow, dist in flows
             ],
         )
     )
@@ -93,7 +96,7 @@ def test_s27_walkthrough(benchmark, output_dir):
 
     # paper shape: SCC nets dominate the congestion ranking (Figure 5)
     top = flows[: max(3, len(flows) // 4)]
-    assert sum(scc.net_on_scc(n.name) for n in top) >= len(top) // 2
+    assert sum(scc.net_on_scc(name) for name, _, _ in top) >= len(top) // 2
     # Figure 7: four partitions on the paper's own run
     assert merged.n_partitions == 4
     assert merged.partition.max_input_count() <= 3

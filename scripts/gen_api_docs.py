@@ -93,17 +93,19 @@ returns a `CompiledGraph` that interns every node and net name to a
 dense integer id (ids follow insertion order, so iterating ids *is*
 iterating the reference ordering) and lays the topology out as CSR
 arrays — out-/in-adjacency per node, sink lists and source per net,
-deduplicated successor rows for Tarjan, plus mirrors of per-net
-distance and kind/boundary flags in flat lists and bytearrays.
+deduplicated successor rows for Tarjan, plus per-net kind/boundary
+flags in bytearrays.
 Membership tests use epoch-stamped scratch arrays (`next_epoch()`
 bumps a counter instead of reallocating visited sets), which is what
 lets `Make_Set` re-run its DFS thousands of times without per-split
 set churn. The compiled view is built lazily once per circuit and
 cached on the graph keyed by its `topo_version`: structural mutation
 (`add_node`/`add_net`) invalidates it, while mutable per-net flow
-state does not. A `CutState` loads the distance mirror once, with
-`reload_dist()`, when it is built; its SCC-budget pin then writes both
-the mirror and `Net.dist`.
+state does not. The view is also the only home of `Saturate_Network`'s
+per-net state: `flow` and `dist` (`d(e)`) are flat lists indexed by
+net id, reset by `reset_flow()`, filled by `FlowIndex`, read by
+`CutState` and pinned to 0 in place by its SCC-budget rule. `Net`
+itself is a frozen `(name, source, sinks)` record.
 One `CompiledGraph` is therefore shared by Tarjan SCC, `Make_Group`,
 `Assign_CBIT` and `FlowIndex` within one compile. It is never shared
 between compiles: the flow state and scratch arrays are mutable, so

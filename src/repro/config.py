@@ -137,9 +137,6 @@ class MercedConfig:
     def with_beta(self, beta: int) -> "MercedConfig":
         return replace(self, beta=beta)
 
-    def with_min_visit(self, min_visit: int) -> "MercedConfig":
-        return replace(self, min_visit=min_visit)
-
     def with_optimize(
         self, optimize: Optional[str], budget: Optional[float] = None
     ) -> "MercedConfig":

@@ -61,8 +61,8 @@ class Merced:
         """Run STEPs 1–4 on ``netlist`` and return the full report.
 
         Every run builds its own graph: ``Saturate_Network`` and
-        ``Make_Group`` keep their working state (flows, distances, cut
-        flags, CSR scratch) on it, so two runs must never share one.
+        ``Make_Group`` keep their working state (flows, distances, CSR
+        scratch) in its compiled view, so two runs must never share one.
 
         Args:
             netlist: a validated synchronous circuit.

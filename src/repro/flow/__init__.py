@@ -1,12 +1,11 @@
 """Probabilistic multicommodity-flow saturation (Table 3 of the paper)."""
 
-from .distance import distance_levels, exp_distance, inject_flow, update_distance
+from .distance import exp_distance, inject_flow, update_distance
 from .index import FlowIndex
 from .rng import FairSampler
 from .saturate import SaturationResult, saturate_network
 
 __all__ = [
-    "distance_levels",
     "exp_distance",
     "inject_flow",
     "update_distance",

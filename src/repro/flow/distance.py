@@ -3,18 +3,21 @@
 Table 3, STEP 3.3.2.  The exponential maps accumulated random flow into an
 edge length, so subsequent Dijkstra runs *avoid* congested nets; nets that
 stay congested despite the avoidance pressure are structurally central —
-exactly the nets the paper cuts first (highest ``d``).
+exactly the nets the paper cuts first (highest ``d``).  Every net has the
+same capacity ``cap(e) = b`` (``MercedConfig.cap``).
+
+:func:`update_distance` and :func:`inject_flow` are the string-keyed
+references for :meth:`repro.flow.index.FlowIndex.inject`: they work on
+name-keyed ``flow``/``dist`` dicts their caller owns.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import List
+from typing import Dict
 
-from ..graphs.digraph import CircuitGraph, Net
-
-__all__ = ["exp_distance", "update_distance", "distance_levels", "inject_flow"]
+__all__ = ["exp_distance", "update_distance", "inject_flow"]
 
 
 def exp_distance(exponent: float) -> float:
@@ -39,23 +42,26 @@ def exp_distance(exponent: float) -> float:
         return sys.float_info.max
 
 
-def update_distance(net: Net, alpha: float) -> float:
-    """Recompute and store ``d(e)`` for one net; returns the new value."""
-    net.dist = exp_distance(alpha * net.flow / net.cap)
-    return net.dist
+def update_distance(
+    flow: Dict[str, float],
+    dist: Dict[str, float],
+    net: str,
+    alpha: float,
+    cap: float,
+) -> float:
+    """Recompute and store ``dist[net]`` from ``flow[net]``; returns it."""
+    dist[net] = exp_distance(alpha * flow[net] / cap)
+    return dist[net]
 
 
-def inject_flow(net: Net, delta: float, alpha: float) -> None:
+def inject_flow(
+    flow: Dict[str, float],
+    dist: Dict[str, float],
+    net: str,
+    delta: float,
+    alpha: float,
+    cap: float,
+) -> None:
     """STEP 3.3: add ``Δ`` of flow to ``net`` and refresh its distance."""
-    net.flow += delta
-    update_distance(net, alpha)
-
-
-def distance_levels(graph: CircuitGraph) -> List[float]:
-    """Distinct ``d(e)`` values, sorted from max to min (Table 4, STEP 3).
-
-    These are the candidate *boundary* values the clustering loop walks
-    down; the paper calls this the "sorted stack of all different values of
-    d(E)".
-    """
-    return sorted({net.dist for net in graph.nets()}, reverse=True)
+    flow[net] += delta
+    update_distance(flow, dist, net, alpha, cap)

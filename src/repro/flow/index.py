@@ -7,12 +7,13 @@ keyed by node *names* and chases ``Net`` attribute lookups per edge.  At
 the s38xxx scale that dominates the compile.
 
 :class:`FlowIndex` lays the graph's
-:class:`~repro.graphs.csr.CompiledGraph` out **once** as dense integer
-arrays — per-node adjacency of ``(net id, sink ids)`` pairs, per-net
-``flow``/``dist``/``cap`` arrays — and then answers every subsequent
-Dijkstra/injection query on those arrays.  Per-run state (tentative
-distance, settled flag, tree parent) lives in version-stamped scratch
-arrays, so repeated runs allocate nothing.
+:class:`~repro.graphs.csr.CompiledGraph` out **once** as per-node
+adjacency rows of ``(net id, sink ids)`` pairs, and then answers every
+subsequent Dijkstra/injection query on dense arrays.  It reads and
+writes the compiled view's own per-net ``flow``/``dist`` lists, so the
+congestion has one home.  Per-run state (tentative distance, tree
+parent) lives in scratch arrays, and the settled/seen/tree-net flags are
+the compiled view's epoch stamps, so repeated runs allocate nothing.
 
 The traversal order, tie-breaking counter, and floating-point operations
 replicate :func:`dijkstra_tree` exactly, and flow accumulation/distance
@@ -35,38 +36,32 @@ __all__ = ["FlowIndex"]
 
 
 class FlowIndex:
-    """Reusable indexed adjacency + flow state for repeated Dijkstra runs.
+    """Reusable indexed adjacency for repeated Dijkstra runs.
 
-    Build once per saturation, from the
-    :class:`~repro.graphs.csr.CompiledGraph` of a graph whose flow state
-    was just reset (``graph.reset_flow_state``); call
-    :meth:`tree_nets_from` per source and :meth:`inject` per tree; call
-    :meth:`flush` at the end to write the accumulated ``flow``/``dist``
-    back onto the graph's :class:`~repro.graphs.digraph.Net` objects.
+    Build once per saturation, from a
+    :class:`~repro.graphs.csr.CompiledGraph` whose flow state was just
+    reset (:meth:`~repro.graphs.csr.CompiledGraph.reset_flow`); call
+    :meth:`tree_nets_from` per source and :meth:`inject` per tree.  The
+    trees read, and the injections write, the compiled view's ``dist``
+    and ``flow`` lists directly.
 
     The index shares the compiled view's interning tables and CSR
     adjacency (both follow graph insertion order, so ids are
-    interchangeable) and snapshots every net's ``flow``/``dist``/``cap``
-    at construction.  Saturation always runs on a freshly reset graph,
-    so the snapshot never goes stale.
+    interchangeable).
     """
 
     def __init__(self, compiled: CompiledGraph):
-        self.graph = compiled.graph
-        self.node_names = compiled.node_names
-        self.node_ids = compiled.node_id
-        nets = compiled.nets
-        self._nets = nets
-        self.net_names = compiled.net_names
+        self.cg = compiled
         # adjacency rows straight off the CSR arrays (same net order as
         # graph.out_nets: both follow graph insertion order)
         out_start = compiled.out_start
         out_net_ids = compiled.out_net_ids
         sink_start = compiled.sink_start
         sink_ids = compiled.sink_ids
+        n = compiled.n_nodes
         #: per-node list of (net id, tuple of sink node ids).
         self.adj: List[List[Tuple[int, Tuple[int, ...]]]] = []
-        for i in range(len(self.node_names)):
+        for i in range(n):
             row = []
             for p in range(out_start[i], out_start[i + 1]):
                 ni = out_net_ids[p]
@@ -74,26 +69,9 @@ class FlowIndex:
                     (ni, tuple(sink_ids[sink_start[ni] : sink_start[ni + 1]]))
                 )
             self.adj.append(row)
-        self.flow: List[float] = [net.flow for net in nets]
-        self.dist: List[float] = [net.dist for net in nets]
-        self.cap: List[float] = [net.cap for net in nets]
-        # version-stamped per-run scratch (no per-run allocation)
-        n = len(self.node_names)
-        self._run = 0
-        self._seen: List[int] = [0] * n
-        self._done: List[int] = [0] * n
+        # per-run scratch, valid where the run's epoch stamps say so
         self._tdist: List[float] = [0.0] * n
         self._parent: List[int] = [-1] * n
-        self._net_seen: List[int] = [0] * len(nets)
-
-    # ------------------------------------------------------------------
-    # state sync with the graph
-    # ------------------------------------------------------------------
-    def flush(self) -> None:
-        """Write the index's accumulated flow state back to the graph."""
-        for i, net in enumerate(self._nets):
-            net.flow = self.flow[i]
-            net.dist = self.dist[i]
 
     # ------------------------------------------------------------------
     # hot path
@@ -102,18 +80,19 @@ class FlowIndex:
         """Distinct net ids of the shortest-path tree rooted at ``source``.
 
         Returns ``(net_ids, n_relaxations)``; the net set is identical to
-        ``dijkstra_tree(graph, source).tree_nets()``.
+        ``dijkstra_tree(graph, source, net_dist).tree_nets()`` with
+        ``net_dist`` holding the compiled view's distances by name.
         """
-        src = self.node_ids[source]
-        self._run += 1
-        run = self._run
+        cg = self.cg
+        src = cg.node_id[source]
+        run = cg.next_epoch()
         seen, done, tdist, parent = (
-            self._seen,
-            self._done,
+            cg.node_ep,
+            cg.node_ep2,
             self._tdist,
             self._parent,
         )
-        adj, ndist = self.adj, self.dist
+        adj, ndist = self.adj, cg.dist
         heappush, heappop = heapq.heappush, heapq.heappop
         seen[src] = run
         tdist[src] = 0.0
@@ -141,7 +120,7 @@ class FlowIndex:
                         relaxations += 1
                         counter += 1
                         heappush(heap, (nd, counter, sink))
-        net_seen = self._net_seen
+        net_seen = cg.net_ep
         tree: List[int] = []
         for node in settled:
             net_i = parent[node]
@@ -151,7 +130,11 @@ class FlowIndex:
         return tree, relaxations
 
     def inject(
-        self, net_indices: Sequence[int], delta: float, alpha: float
+        self,
+        net_indices: Sequence[int],
+        delta: float,
+        alpha: float,
+        cap: float,
     ) -> None:
         """Add ``Δ`` of flow to each net and refresh its distance.
 
@@ -160,18 +143,18 @@ class FlowIndex:
         :func:`~repro.flow.distance.exp_distance`'s overflow rule,
         applied inline here because this is the saturation's hot loop.
         """
-        flow, dist, cap = self.flow, self.dist, self.cap
+        flow, dist = self.cg.flow, self.cg.dist
         exp = math.exp
         for i in net_indices:
             f = flow[i] + delta
             flow[i] = f
             try:
-                dist[i] = exp(alpha * f / cap[i])
+                dist[i] = exp(alpha * f / cap)
             except OverflowError:
                 dist[i] = sys.float_info.max
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<FlowIndex {self.graph.name!r}: {len(self.node_names)} nodes, "
-            f"{len(self.net_names)} nets>"
+            f"<FlowIndex {self.cg.graph.name!r}: {self.cg.n_nodes} nodes, "
+            f"{self.cg.n_nets} nets>"
         )

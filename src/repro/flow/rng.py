@@ -46,10 +46,6 @@ class FairSampler:
         """True once every node has reached ``min_visit`` visits."""
         return not self._pending
 
-    @property
-    def total_visits(self) -> int:
-        return sum(self.visit.values())
-
     def pick(self) -> str:
         """Draw one node still below the visit threshold and count the visit."""
         if not self._pending:

@@ -8,7 +8,7 @@ Faithful implementation of Table 3 of the paper:
    pick such a node uniformly at random, compute the Dijkstra
    shortest-path tree from it under the current distances, and add ``Δ``
    of flow (re-exponentiating the distance) to every net of the tree;
-4. the graph now carries a congestion profile ``d(E)``.
+4. the graph's compiled view now carries a congestion profile ``d(E)``.
 
 Nets inside strongly connected regions absorb flow from many sources and
 end up with the largest distances (the paper's Figure 5), which is what
@@ -33,50 +33,45 @@ __all__ = ["SaturationResult", "saturate_network"]
 
 @dataclass(frozen=True)
 class SaturationResult:
-    """Summary statistics of one saturation run.
+    """Source counts of one saturation run.
 
-    The congestion itself lives on the graph (each net's ``flow``/``dist``).
+    The congestion itself lives in the graph's compiled view
+    (``compile_graph(graph).flow`` and ``.dist``).
     """
 
     n_sources: int  # Dijkstra runs performed
-    total_flow: float  # sum of flow over all nets
-    max_flow: float
-    max_dist: float
     visit: Dict[str, int]  # per-node source counts
-
-    @property
-    def mean_visit(self) -> float:
-        return (
-            sum(self.visit.values()) / len(self.visit) if self.visit else 0.0
-        )
 
 
 def saturate_network(
     graph: CircuitGraph, config: Optional[MercedConfig] = None
 ) -> SaturationResult:
-    """Run the modified ``Saturate_Network`` procedure on ``graph`` in place.
+    """Run the modified ``Saturate_Network`` procedure on ``graph``.
 
     The ``min_visit × |V|`` Dijkstra runs all execute on one
-    :class:`~repro.flow.index.FlowIndex` (integer-indexed adjacency +
-    dense flow arrays), built here from the graph's cached
-    :class:`~repro.graphs.csr.CompiledGraph` after the flow state is
+    :class:`~repro.flow.index.FlowIndex` (integer-indexed adjacency),
+    built here from the graph's cached
+    :class:`~repro.graphs.csr.CompiledGraph` after its flow state is
     reset.  That is bit-identical to — and much faster than — driving
     :func:`repro.graphs.dijkstra.dijkstra_tree` per source.  The
-    congestion is written onto ``graph`` itself, so a graph belongs to
-    one compile at a time.
+    congestion is written into the compiled view, which is cached on
+    ``graph``, so a graph belongs to one compile at a time.
 
     Args:
-        graph: circuit graph; its per-net flow state is reset first.
+        graph: circuit graph; its compiled view's flow state is reset
+            first.
         config: supplies ``Δ``, ``α``, ``b``, ``min_visit`` and the RNG
             seed.  Defaults to the paper's published parameters.
 
     Returns:
-        A :class:`SaturationResult`; the graph's nets now carry the
-        congestion distances ``d(E)`` consumed by ``Make_Group``.
+        A :class:`SaturationResult`; ``compile_graph(graph).dist`` now
+        holds the congestion distances ``d(E)`` consumed by
+        ``Make_Group``.
     """
     config = config or MercedConfig()
-    graph.reset_flow_state(cap=config.cap)
-    index = FlowIndex(compile_graph(graph))
+    compiled = compile_graph(graph)
+    compiled.reset_flow()
+    index = FlowIndex(compiled)
     sampler = FairSampler(
         list(graph.nodes()), min_visit=config.min_visit, seed=config.seed
     )
@@ -89,27 +84,13 @@ def saturate_network(
             tree_nets, relaxed = index.tree_nets_from(source)
             n_relaxations += relaxed
             n_injections += len(tree_nets)
-            index.inject(tree_nets, config.delta, config.alpha)
+            index.inject(tree_nets, config.delta, config.alpha, config.cap)
             if (
                 config.max_sources is not None
                 and n_sources >= config.max_sources
             ):
                 break
-        index.flush()
     perf_count("dijkstra_runs", n_sources)
     perf_count("relaxations", n_relaxations)
     perf_count("flow_injections", n_injections)
-    total = max_flow = max_dist = 0.0
-    for net in graph.nets():
-        total += net.flow
-        if net.flow > max_flow:
-            max_flow = net.flow
-        if net.dist > max_dist:
-            max_dist = net.dist
-    return SaturationResult(
-        n_sources=n_sources,
-        total_flow=total,
-        max_flow=max_flow,
-        max_dist=max_dist,
-        visit=dict(sampler.visit),
-    )
+    return SaturationResult(n_sources=n_sources, visit=dict(sampler.visit))

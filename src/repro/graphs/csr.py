@@ -14,19 +14,18 @@ integer-indexed arrays:
   offset array per node), as are per-net sink lists and the deduplicated
   successor lists that Tarjan traverses;
 * per-node kinds and per-net "free boundary" flags live in bytearrays;
-* per-net congestion distances are mirrored in a flat float list,
-  refreshed from the authoritative ``Net`` objects via
-  :meth:`reload_dist`;
+* ``Saturate_Network``'s per-net ``flow`` and congestion distance
+  ``dist`` (``d(e)`` of Table 3) live here and nowhere else: saturation
+  resets and fills them, and ``Make_Set``'s budget pin zeroes ``dist``;
 * *epoch-stamped* scratch arrays (:meth:`next_epoch`) give kernels O(1)
   set-membership and visited flags without allocating a set per call.
 
-A :class:`CompiledGraph` depends only on the graph's *topology* (nodes,
-nets, kinds) — never on mutable flow state — so one instance is built
-per graph and reused across every kernel invocation of the compile that
-owns the graph.  Its scratch arrays and distance mirror are mutable, so
-it is never shared between two compiles.  :func:`compile_graph` caches
-the instance on the graph and invalidates it when nodes or nets are
-added.
+A :class:`CompiledGraph` is built from the graph's *topology* (nodes,
+nets, kinds), so one instance is built per graph and reused across every
+kernel invocation of the compile that owns the graph.  Its flow state
+and scratch arrays are mutable, so it is never shared between two
+compiles.  :func:`compile_graph` caches the instance on the graph and
+invalidates it when nodes or nets are added.
 """
 
 from __future__ import annotations
@@ -73,10 +72,9 @@ class CompiledGraph:
             node.
         succ_start/succ_ids: CSR deduplicated successor node ids, in the
             exact order ``CircuitGraph.successors`` yields them.
-        dist: per-net congestion distance mirror (see
-            :meth:`reload_dist`).
-        nets: id → the live :class:`~repro.graphs.digraph.Net` object
-            (for write-through of distance pins).
+        flow: per-net accumulated flow of ``Saturate_Network``.
+        dist: per-net congestion distance ``d(e)``; 0 once ``Make_Set``
+            pins the net traversable.
     """
 
     def __init__(self, graph: CircuitGraph):
@@ -97,7 +95,6 @@ class CompiledGraph:
             self.name_rank[i] = rank
 
         nets: List[Net] = list(graph.nets())
-        self.nets = nets
         m = len(nets)
         self.net_names: List[str] = [net.name for net in nets]
         self.net_id: Dict[str, int] = {
@@ -152,9 +149,9 @@ class CompiledGraph:
             self.succ_start[i + 1] = len(succ_ids)
         self.succ_ids = succ_ids
 
-        #: mutable per-net distance mirror; call :meth:`reload_dist`
-        #: after anything rewrites ``Net.dist`` outside the kernels.
-        self.dist: List[float] = [net.dist for net in nets]
+        # per-net flow state, pristine (Table 3, STEP 1)
+        self.flow: List[float] = [0.0] * m
+        self.dist: List[float] = [1.0] * m
 
         # epoch-stamped scratch (kernels call next_epoch per invocation)
         self._epoch = 0
@@ -185,11 +182,11 @@ class CompiledGraph:
         self._epoch += 1
         return self._epoch
 
-    def reload_dist(self) -> None:
-        """Refresh the ``dist`` mirror from the authoritative nets."""
-        dist = self.dist
-        for i, net in enumerate(self.nets):
-            dist[i] = net.dist
+    def reset_flow(self) -> None:
+        """Set every net's flow to 0 and ``d(e)`` to 1 (Table 3, STEP 1)."""
+        m = len(self.flow)
+        self.flow[:] = [0.0] * m
+        self.dist[:] = [1.0] * m
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -203,9 +200,10 @@ def compile_graph(graph: CircuitGraph) -> CompiledGraph:
 
     Built on first use and stored on the graph instance; invalidated
     automatically when the graph's topology version changes (nodes or
-    nets added).  Mutable flow state never invalidates the cache — the
-    compiled view holds topology only, plus a distance mirror that
-    kernels refresh explicitly.
+    nets added).  The flow state the view carries never invalidates it,
+    so ``saturate_network(graph)`` followed by ``make_group(graph, ...,
+    presaturated=True)`` finds the saturated distances here.  A topology
+    change, by the same rule, discards the saturation.
     """
     cached = getattr(graph, "_compiled", None)
     if cached is not None and cached.version == graph.topo_version:

@@ -4,8 +4,10 @@ The paper models a synchronous circuit as ``G(V = R ∪ C, E)`` where ``V``
 contains register nodes ``R`` and combinational nodes ``C`` and each *net*
 is a single directed edge with fan-out branches from its source module.
 :class:`CircuitGraph` implements exactly that: a **net** has one source node
-and one or more sink nodes, and carries the mutable flow/congestion state
-used by ``Saturate_Network`` (capacity, accumulated flow, distance).
+and one or more sink nodes.  The graph holds topology only;
+``Saturate_Network``'s per-net flow and congestion distance live in the
+graph's compiled view (:attr:`repro.graphs.csr.CompiledGraph.flow` and
+``dist``).
 
 Node identifiers are strings (signal/cell names); each node has a
 :class:`NodeKind` marking whether it is a primary input, a register, or a
@@ -30,32 +32,14 @@ class NodeKind(enum.Enum):
     REGISTER = "register"  # R: a DFF
     COMB = "comb"  # C: a combinational cell
 
-    @property
-    def is_register(self) -> bool:
-        return self is NodeKind.REGISTER
 
-
-@dataclass
+@dataclass(frozen=True)
 class Net:
-    """One multi-pin net: a source node and its fan-out branches.
-
-    The mutable fields (``cap``, ``flow``, ``dist``) carry the state of
-    the probabilistic multicommodity-flow procedure; ``dist`` is the
-    congestion distance ``d(e)`` of Table 3.
-    """
+    """One multi-pin net: a source node and its fan-out branches."""
 
     name: str
     source: str
     sinks: Tuple[str, ...]
-    cap: float = 1.0
-    flow: float = 0.0
-    dist: float = 1.0
-
-    def reset_flow(self, cap: float = 1.0) -> None:
-        """Restore the pristine pre-saturation state (Table 3, STEP 1)."""
-        self.cap = cap
-        self.flow = 0.0
-        self.dist = 1.0
 
     @property
     def fanout(self) -> int:
@@ -126,12 +110,6 @@ class CircuitGraph:
         """The set ``R``: all DFF nodes."""
         return [n for n, k in self._kinds.items() if k is NodeKind.REGISTER]
 
-    def input_nodes(self) -> List[str]:
-        return [n for n, k in self._kinds.items() if k is NodeKind.INPUT]
-
-    def comb_nodes(self) -> List[str]:
-        return [n for n, k in self._kinds.items() if k is NodeKind.COMB]
-
     def nets(self) -> Iterator[Net]:
         return iter(self._nets.values())
 
@@ -188,14 +166,6 @@ class CircuitGraph:
     @property
     def n_nets(self) -> int:
         return len(self._nets)
-
-    # ------------------------------------------------------------------
-    # flow state management
-    # ------------------------------------------------------------------
-    def reset_flow_state(self, cap: float = 1.0) -> None:
-        """Re-initialize all nets' flow/congestion state (Table 3, STEP 1)."""
-        for net in self._nets.values():
-            net.reset_flow(cap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

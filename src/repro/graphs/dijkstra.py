@@ -5,6 +5,10 @@ random source to **all reachable sinks**, with the congestion distance
 ``d(e)`` as edge length.  The tree edges are nets; a multi-pin net charges
 its distance once per traversal (its branches share the physical wire).
 
+:func:`dijkstra_tree` is the string-keyed reference: it reads distances
+from a name-keyed mapping its caller owns, so it shares no state with
+the indexed hot loop (:class:`~repro.flow.index.FlowIndex`) it checks.
+
 Determinism matters for reproducibility: ties are broken by insertion
 order via a monotonically increasing heap counter.
 """
@@ -12,8 +16,8 @@ order via a monotonically increasing heap counter.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Set
 
 from .digraph import CircuitGraph
 
@@ -49,36 +53,16 @@ class ShortestPathTree:
                 out.append(net_name)
         return out
 
-    def path_to(self, node: str) -> List[str]:
-        """Net names along the tree path source → ``node``."""
-        if node not in self.dist:
-            raise KeyError(f"{node!r} not reached from {self.source!r}")
-        path: List[str] = []
-        # walk parents; parent_net[node] is the net whose source is the parent
-        cur = node
-        guard = len(self.dist) + 1
-        while True:
-            net_name = self.parent_net[cur]
-            if net_name is None:
-                break
-            path.append(net_name)
-            cur = self._net_source[net_name]
-            guard -= 1
-            if guard < 0:  # pragma: no cover - defensive
-                raise RuntimeError("parent chain does not terminate")
-        path.reverse()
-        return path
 
-    # populated by dijkstra_tree for path reconstruction
-    _net_source: Dict[str, str] = field(default_factory=dict)
-
-
-def dijkstra_tree(graph: CircuitGraph, source: str) -> ShortestPathTree:
+def dijkstra_tree(
+    graph: CircuitGraph, source: str, net_dist: Mapping[str, float]
+) -> ShortestPathTree:
     """Shortest-path tree from ``source`` over net distances ``d(e)``.
 
     Args:
-        graph: the circuit graph carrying per-net ``dist`` values.
+        graph: the circuit graph (topology only).
         source: root node.
+        net_dist: net name → distance ``d(e)``, for every net.
 
     Returns:
         A :class:`ShortestPathTree` covering every node reachable from
@@ -86,7 +70,6 @@ def dijkstra_tree(graph: CircuitGraph, source: str) -> ShortestPathTree:
     """
     dist: Dict[str, float] = {source: 0.0}
     parent_net: Dict[str, Optional[str]] = {source: None}
-    net_source: Dict[str, str] = {}
     done: Set[str] = set()
     counter = 0
     heap: List = [(0.0, counter, source)]
@@ -96,16 +79,13 @@ def dijkstra_tree(graph: CircuitGraph, source: str) -> ShortestPathTree:
             continue
         done.add(node)
         for net in graph.out_nets(node):
-            nd = d + net.dist
+            nd = d + net_dist[net.name]
             for sink in net.sinks:
                 if sink in done:
                     continue
                 if sink not in dist or nd < dist[sink]:
                     dist[sink] = nd
                     parent_net[sink] = net.name
-                    net_source[net.name] = net.source
                     counter += 1
                     heapq.heappush(heap, (nd, counter, sink))
-    tree = ShortestPathTree(source=source, dist=dist, parent_net=parent_net)
-    tree._net_source = net_source
-    return tree
+    return ShortestPathTree(source=source, dist=dist, parent_net=parent_net)

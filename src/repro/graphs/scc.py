@@ -181,11 +181,11 @@ class SCCInfo:
 
 
 class SCCIndex:
-    """Node → SCC lookup plus each SCC's registers and internal nets.
+    """Net → SCC lookup plus each SCC's registers and internal nets.
 
     Only *non-trivial* SCCs are tracked: components with more than one node,
     or a single node with a self net (a cell feeding itself through one
-    net).  Nodes outside any cycle map to ``None``.
+    net).  Nets internal to no cycle map to ``None``.
 
     The index is read-only once built.  Cut charges ``c(λ)`` belong to
     whoever charges them (:class:`~repro.partition.make_set.CutState`,
@@ -196,7 +196,6 @@ class SCCIndex:
     def __init__(self, graph: CircuitGraph):
         self.graph = graph
         self._sccs: List[SCCInfo] = []
-        self._node_to_scc: Dict[str, int] = {}
         self._net_to_scc: Dict[str, int] = {}
         self._build()
 
@@ -246,8 +245,6 @@ class SCCIndex:
                 internal_nets=tuple(internal),
             )
             self._sccs.append(info)
-            for node in comp:
-                self._node_to_scc[node_names[node]] = scc_id
             for net_name in internal:
                 self._net_to_scc[net_name] = scc_id
 
@@ -255,10 +252,6 @@ class SCCIndex:
     def sccs(self) -> Sequence[SCCInfo]:
         """All non-trivial SCCs."""
         return tuple(self._sccs)
-
-    def scc_of_node(self, node: str) -> Optional[SCCInfo]:
-        idx = self._node_to_scc.get(node)
-        return None if idx is None else self._sccs[idx]
 
     def scc_of_net(self, net_name: str) -> Optional[SCCInfo]:
         """The SCC a net is internal to, or ``None`` for tree/cross nets."""

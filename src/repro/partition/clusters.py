@@ -102,12 +102,6 @@ class Cluster:
             input_nets=frozenset(cluster_input_nets(graph, nodes)),
         )
 
-    def merged_with(
-        self, other: "Cluster", graph: CircuitGraph, new_id: int
-    ) -> "Cluster":
-        """Cluster covering both node sets, with ι recomputed on the union."""
-        return Cluster.from_nodes(new_id, graph, self.nodes | other.nodes)
-
 
 class Partition:
     """A complete input-constraint partition ``Π_m`` of a circuit graph."""
@@ -153,9 +147,6 @@ class Partition:
     def is_feasible(self) -> bool:
         """Eq. 5: every cluster's ι within the bound ``l_k``."""
         return self.max_input_count() <= self.lk
-
-    def oversized_clusters(self) -> List[Cluster]:
-        return [c for c in self.clusters if c.input_count > self.lk]
 
     # ------------------------------------------------------------------
     def cut_nets(self) -> List[str]:

@@ -61,22 +61,20 @@ def _next_boundary(
     graph: CircuitGraph, state: CutState, nodes: Set[str]
 ) -> Optional[float]:
     """Highest distance among the cluster's still-traversable comb nets."""
+    dist, net_id = state.cg.dist, state.cg.net_id
     best: Optional[float] = None
     for node in nodes:
         if graph.kind(node) is not NodeKind.COMB:
             continue
         for net in graph.out_nets(node):
-            if (
-                net.name in state.cut
-                or net.name in state.forced
-                or net.dist <= 0.0
-            ):
+            d = dist[net_id[net.name]]
+            if net.name in state.cut or net.name in state.forced or d <= 0.0:
                 continue
             # only nets that DFS could actually cross inside this cluster
             if not any(s in nodes for s in net.sinks):
                 continue
-            if best is None or net.dist > best:
-                best = net.dist
+            if best is None or d > best:
+                best = d
     return best
 
 
@@ -181,13 +179,15 @@ def make_group(
     """Partition ``graph`` into clusters with ``ι(ϖ) ≤ l_k``.
 
     Args:
-        graph: the circuit graph (mutated: its nets' flow state, and
-            the distances a budget exhaustion pins to 0).
+        graph: the circuit graph.  Its compiled view
+            (``compile_graph(graph)``) is mutated: saturation fills its
+            flow state, and a budget exhaustion pins distances to 0.
         scc_index: precomputed SCC index; built here if omitted.
         config: Merced parameters (``l_k``, β, and the saturation knobs).
         locked: node names Merced must not regroup (kept as singletons).
         presaturated: skip ``Saturate_Network`` and reuse the distances
-            already on the graph (used by parameter-sweep ablations).
+            an earlier ``saturate_network(graph)`` left in the graph's
+            compiled view (used by parameter-sweep ablations).
         strict: raise on clusters that cannot meet ``l_k`` (default);
             ``False`` returns them in ``infeasible_clusters`` instead —
             the paper's β-vs-testing-time trade-off means a tight β can
@@ -210,13 +210,7 @@ def make_group(
     config = config or MercedConfig()
     scc_index = scc_index or SCCIndex(graph)
     if presaturated:
-        saturation = SaturationResult(
-            n_sources=0,
-            total_flow=sum(n.flow for n in graph.nets()),
-            max_flow=max((n.flow for n in graph.nets()), default=0.0),
-            max_dist=max((n.dist for n in graph.nets()), default=0.0),
-            visit={},
-        )
+        saturation = SaturationResult(n_sources=0, visit={})
     else:
         saturation = saturate_network(graph, config)
 

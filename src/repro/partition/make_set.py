@@ -43,11 +43,8 @@ class CutState:
     ``cut``/``forced`` stay authoritative for callers; the parallel
     per-net-id byte flags are what the compiled kernels test.
 
-    A ``CutState`` reads ``Net.dist`` once, when it is built, into the
-    compiled distance mirror the kernels read.  After that its own
-    budget pin is the only writer of distances, and it writes both
-    copies.  The reference :meth:`traversable` re-reads the one net it
-    is handed.
+    Distances are read from, and pinned in, the graph's compiled view
+    (``cg.dist``), where ``Saturate_Network`` left them.
     """
 
     def __init__(self, graph: CircuitGraph, scc_index: SCCIndex, beta: int):
@@ -60,7 +57,6 @@ class CutState:
         # compiled mirrors -------------------------------------------------
         cg = compile_graph(graph)
         self.cg = cg
-        cg.reload_dist()
         m = cg.n_nets
         self.cut_b = bytearray(m)
         self.forced_b = bytearray(m)
@@ -83,10 +79,7 @@ class CutState:
         if its SCC still has budget (or it is not on an SCC); otherwise the
         SCC's remaining nets are pinned traversable.
         """
-        i = self.cg.net_id[net.name]
-        # callers may rewrite Net.dist between calls; keep the mirror honest
-        self.cg.dist[i] = net.dist
-        return self.traversable_id(i, boundary)
+        return self.traversable_id(self.cg.net_id[net.name], boundary)
 
     def traversable_id(self, i: int, boundary: float) -> bool:
         """Compiled :meth:`traversable` on a net id."""
@@ -115,14 +108,12 @@ class CutState:
         self.budget_exhaustions += 1
         net_id = cg.net_id
         dist = cg.dist
-        nets = cg.nets
         for name in self._scc_infos[k].internal_nets:
             j = net_id[name]
             if not self.cut_b[j]:
                 self.forced_b[j] = 1
                 self.forced.add(name)
                 dist[j] = 0.0
-                nets[j].dist = 0.0  # write-through: Net.dist is authoritative
         return True
 
     def n_cuts(self) -> int:

@@ -34,6 +34,7 @@ Example:
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -185,16 +186,24 @@ class PerfTrace:
         )
 
 
+#: Geometry of :class:`LatencyHistogram`'s buckets: the first bucket's
+#: upper bound, the factor each next bound grows by, and the count.
+HISTOGRAM_FLOOR_S = 2e-5
+HISTOGRAM_GROWTH = 1.6
+HISTOGRAM_BUCKETS = 48
+
+
 class LatencyHistogram:
     """Geometric-bucket latency histogram with p50/p99 estimation.
 
-    Buckets grow by a fixed ``growth`` factor from a ``floor_s`` lower
-    bound — 48 buckets at the defaults span ~20 µs to ~80 s, plenty for
-    a compile service whose responses range from in-memory hot-cache
-    splices to multi-second cold compiles.  Percentiles interpolate
-    linearly inside the winning bucket, so they are estimates with
-    bounded relative error (one ``growth`` step), not exact order
-    statistics — the right trade for an always-on service counter.
+    Buckets grow by a fixed factor (``HISTOGRAM_GROWTH``) from a
+    ``HISTOGRAM_FLOOR_S`` lower bound — 48 buckets span ~20 µs to
+    ~80 s, plenty for a compile service whose responses range from
+    in-memory hot-cache splices to multi-second cold compiles.
+    Percentiles interpolate linearly inside the winning bucket, so they
+    are estimates with bounded relative error (one growth step), not
+    exact order statistics — the right trade for an always-on service
+    counter.
     Callers provide thread-safety (the service metrics lock); the class
     itself is plain counters.
 
@@ -210,32 +219,21 @@ class LatencyHistogram:
         True
     """
 
-    def __init__(
-        self,
-        floor_s: float = 2e-5,
-        growth: float = 1.6,
-        n_buckets: int = 48,
-    ):
-        if floor_s <= 0 or growth <= 1.0 or n_buckets < 2:
-            raise ValueError("invalid histogram geometry")
-        self.floor_s = floor_s
-        self.growth = growth
-        self.n_buckets = n_buckets
-        self.buckets: List[int] = [0] * n_buckets
+    def __init__(self) -> None:
+        self.buckets: List[int] = [0] * HISTOGRAM_BUCKETS
         self.count = 0
         self.sum_seconds = 0.0
         self.max_seconds = 0.0
 
     def _bucket_of(self, seconds: float) -> int:
-        if seconds <= self.floor_s:
+        if seconds <= HISTOGRAM_FLOOR_S:
             return 0
-        import math
-
-        index = int(math.log(seconds / self.floor_s, self.growth)) + 1
-        return min(index, self.n_buckets - 1)
+        ratio = seconds / HISTOGRAM_FLOOR_S
+        index = int(math.log(ratio, HISTOGRAM_GROWTH)) + 1
+        return min(index, HISTOGRAM_BUCKETS - 1)
 
     def _upper_bound(self, index: int) -> float:
-        return self.floor_s * (self.growth ** index)
+        return HISTOGRAM_FLOOR_S * (HISTOGRAM_GROWTH ** index)
 
     def observe(self, seconds: float) -> None:
         """Record one latency sample."""
@@ -265,7 +263,7 @@ class LatencyHistogram:
         return self.max_seconds
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot: summary percentiles + raw buckets."""
+        """JSON-ready snapshot: sample count, sums and percentiles."""
         return {
             "count": self.count,
             "sum_seconds": self.sum_seconds,
@@ -275,12 +273,6 @@ class LatencyHistogram:
             ),
             "p50_seconds": self.percentile(50),
             "p99_seconds": self.percentile(99),
-            "buckets": list(self.buckets),
-            "geometry": {
-                "floor_s": self.floor_s,
-                "growth": self.growth,
-                "n_buckets": self.n_buckets,
-            },
         }
 
 

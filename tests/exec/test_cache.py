@@ -55,7 +55,7 @@ def test_point_key_changes_with_any_config_field():
     )
     assert (
         point_key(
-            _point(config=MercedConfig(seed=1).with_min_visit(9)), code="c0"
+            _point(config=MercedConfig(seed=1, min_visit=9)), code="c0"
         )
         != base
     )

@@ -31,12 +31,6 @@ class TestFairSampler:
         b = list(FairSampler(list("abcdefgh"), min_visit=3, seed=2))
         assert a != b
 
-    def test_total_visits(self):
-        s = FairSampler(["x", "y"], min_visit=5, seed=0)
-        for _ in range(3):
-            s.pick()
-        assert s.total_visits == 3
-
     def test_min_visit_must_be_positive(self):
         with pytest.raises(ValueError):
             FairSampler(["a"], min_visit=0)

@@ -10,7 +10,8 @@ class TestS27Graph:
         # 4 PIs + 13 cells = 17 nodes; the paper draws the 13 cells.
         assert s27_graph.n_nodes == 17
         assert len(s27_graph.register_nodes()) == 3
-        assert len(s27_graph.comb_nodes()) == 10
+        kinds = [s27_graph.kind(n) for n in s27_graph.nodes()]
+        assert kinds.count(NodeKind.COMB) == 10
 
     def test_every_driven_read_signal_is_a_net(self, s27, s27_graph):
         fan = s27.fanout_map()

@@ -11,18 +11,23 @@ from repro.graphs import (
 )
 
 
-def to_networkx(graph):
+def unit(graph):
+    return {net.name: 1.0 for net in graph.nets()}
+
+
+def to_networkx(graph, net_dist):
     g = nx.DiGraph()
     g.add_nodes_from(graph.nodes())
     for net in graph.nets():
+        d = net_dist[net.name]
         for sink in net.sinks:
             # parallel branches collapse; keep the min distance
             if g.has_edge(net.source, sink):
                 g[net.source][sink]["weight"] = min(
-                    g[net.source][sink]["weight"], net.dist
+                    g[net.source][sink]["weight"], d
                 )
             else:
-                g.add_edge(net.source, sink, weight=net.dist)
+                g.add_edge(net.source, sink, weight=d)
     return g
 
 
@@ -33,7 +38,7 @@ def pair(request):
     else:
         nl = generate_by_name(request.param)
     ours = build_circuit_graph(nl, with_po_nodes=False)
-    return ours, to_networkx(ours)
+    return ours, to_networkx(ours, unit(ours))
 
 
 class TestSCCCrossCheck:
@@ -49,7 +54,7 @@ class TestDijkstraCrossCheck:
         ours, theirs = pair
         sources = sorted(ours.nodes())[::7][:5]
         for src in sources:
-            mine = dijkstra_tree(ours, src).dist
+            mine = dijkstra_tree(ours, src, unit(ours)).dist
             ref = nx.single_source_dijkstra_path_length(
                 theirs, src, weight="weight"
             )
@@ -60,15 +65,16 @@ class TestDijkstraCrossCheck:
     def test_distances_match_with_nonuniform_weights(self, pair):
         ours, theirs = pair
         # perturb distances deterministically, rebuild the reference
-        for i, net in enumerate(ours.nets()):
-            net.dist = 1.0 + (i % 7) * 0.25
-        ref_graph = to_networkx(ours)
+        net_dist = {
+            net.name: 1.0 + (i % 7) * 0.25
+            for i, net in enumerate(ours.nets())
+        }
+        ref_graph = to_networkx(ours, net_dist)
         src = sorted(ours.nodes())[0]
-        mine = dijkstra_tree(ours, src).dist
+        mine = dijkstra_tree(ours, src, net_dist).dist
         ref = nx.single_source_dijkstra_path_length(
             ref_graph, src, weight="weight"
         )
         assert set(mine) == set(ref)
         for node, d in ref.items():
             assert mine[node] == pytest.approx(d)
-        ours.reset_flow_state()

@@ -1,9 +1,11 @@
-"""CircuitGraph container: nodes, multi-pin nets, flow state."""
+"""CircuitGraph container: nodes, multi-pin nets; compiled flow state."""
+
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs import CircuitGraph, NodeKind
+from repro.graphs import CircuitGraph, NodeKind, compile_graph
 
 
 @pytest.fixture
@@ -42,14 +44,12 @@ class TestConstruction:
 class TestQueries:
     def test_kinds(self, g):
         assert g.kind("r") is NodeKind.REGISTER
-        assert g.kind("pi").is_register is False
+        assert g.kind("pi") is NodeKind.INPUT
         with pytest.raises(GraphError):
             g.kind("ghost")
 
     def test_node_partitions(self, g):
         assert g.register_nodes() == ["r"]
-        assert g.input_nodes() == ["pi"]
-        assert set(g.comb_nodes()) == {"c1", "c2"}
 
     def test_counts(self, g):
         assert g.n_nodes == 4
@@ -70,13 +70,19 @@ class TestQueries:
 
 class TestFlowState:
     def test_reset(self, g):
+        cg = compile_graph(g)
+        i = cg.net_id["pi"]
+        cg.flow[i] = 3.0
+        cg.dist[i] = 9.0
+        cg.reset_flow()
+        assert cg.flow == [0.0] * g.n_nets
+        assert cg.dist == [1.0] * g.n_nets
+
+    def test_net_is_topology_only(self, g):
         net = g.net("pi")
-        net.flow = 3.0
-        net.dist = 9.0
-        g.reset_flow_state(cap=2.0)
-        assert net.flow == 0.0
-        assert net.dist == 1.0
-        assert net.cap == 2.0
+        assert [f.name for f in fields(net)] == ["name", "source", "sinks"]
+        with pytest.raises(FrozenInstanceError):
+            net.dist = 9.0
 
     def test_fanout_property(self, g):
         assert g.net("pi").fanout == 2

@@ -85,7 +85,8 @@ class TestSCCIndex:
         assert idx.net_on_scc("g1")
         # the tail inverter's input net g2 IS internal (g2 is in the SCC
         # and fans to q2 inside) — but no net of "tail" exists
-        assert idx.scc_of_node("tail") is None
+        assert idx.scc_of_net("g2") is idx.sccs()[0]
+        assert idx.scc_of_net("tail") is None
 
     def test_pipeline_has_no_scc(self, pipeline):
         g = build_circuit_graph(pipeline, with_po_nodes=False)

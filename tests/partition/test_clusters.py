@@ -93,7 +93,6 @@ class TestPartition:
             s27_graph, [set(self.all_nodes(s27_graph))], lk=2
         )
         assert not p.is_feasible()
-        assert p.oversized_clusters()
         p2 = self.make_partition(
             s27_graph, [set(self.all_nodes(s27_graph))], lk=10
         )
@@ -113,11 +112,3 @@ class TestPartition:
         with pytest.raises(PartitionError, match="stale"):
             p.validate()
 
-    def test_merged_with(self, s27_graph):
-        a = Cluster.from_nodes(0, s27_graph, {"G8"})
-        b = Cluster.from_nodes(1, s27_graph, {"G14"})
-        merged = a.merged_with(b, s27_graph, 2)
-        assert merged.nodes == frozenset({"G8", "G14"})
-        assert merged.input_nets == frozenset(
-            cluster_input_nets(s27_graph, {"G8", "G14"})
-        )

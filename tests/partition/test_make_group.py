@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.circuits import load_circuit
 from repro.config import MercedConfig
 from repro.errors import InfeasiblePartitionError
+from repro.flow import saturate_network
 from repro.graphs import SCCIndex, build_circuit_graph
 from repro.partition import make_group
 
@@ -88,10 +90,35 @@ class TestSCCBudget:
         assert results[50] >= results[1]
 
 
-class TestPresaturated:
-    def test_reuses_existing_distances(self, s27_graph, s27_scc):
-        from repro.flow import saturate_network
+def _outcome(result):
+    clusters = [
+        (c.cluster_id, c.nodes, c.input_nets)
+        for c in result.partition.clusters
+    ]
+    state = result.cut_state
+    return clusters, state.cut, state.forced, result.n_splits
 
+
+class TestPresaturated:
+    @pytest.mark.parametrize(
+        "name,lk,seed", [("s27", 3, 7), ("s510", 16, 1996)]
+    )
+    def test_split_call_equals_fresh_run(self, name, lk, seed):
+        """``saturate_network`` then ``make_group(presaturated=True)``
+        finds the saturation in the graph's compiled view and partitions
+        exactly like one ``make_group`` call on a fresh graph."""
+        config = MercedConfig(lk=lk, seed=seed)
+        netlist = load_circuit(name)
+        fresh = build_circuit_graph(netlist, with_po_nodes=False)
+        expected = make_group(fresh, SCCIndex(fresh), config)
+        graph = build_circuit_graph(netlist, with_po_nodes=False)
+        scc_index = SCCIndex(graph)
+        saturate_network(graph, config)
+        split = make_group(graph, scc_index, config, presaturated=True)
+        assert _outcome(split) == _outcome(expected)
+        assert expected.n_splits > 0
+
+    def test_reuses_existing_distances(self, s27_graph, s27_scc):
         saturate_network(s27_graph, MercedConfig(min_visit=5, seed=1))
         res = make_group(
             s27_graph, s27_scc, MercedConfig(lk=3, seed=1), presaturated=True

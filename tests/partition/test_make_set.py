@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.graphs import NodeKind, SCCIndex, build_circuit_graph
+from repro.graphs import NodeKind, SCCIndex, build_circuit_graph, compile_graph
 from repro.partition import CutState, make_set
 from repro.partition.make_set import make_set_reference
+
+
+def set_dist(graph, name, d):
+    """Write ``d(e)`` of net ``name`` where saturation would leave it."""
+    cg = compile_graph(graph)
+    cg.dist[cg.net_id[name]] = d
+
+
+def dist_of(graph, name):
+    cg = compile_graph(graph)
+    return cg.dist[cg.net_id[name]]
 
 
 @pytest.fixture
@@ -15,32 +26,32 @@ def ring_state(ring_graph):
 class TestCutDecisions:
     def test_low_distance_net_traversable(self, ring_graph, ring_state):
         net = ring_graph.net("g1")
-        net.dist = 1.0
+        set_dist(ring_graph, "g1", 1.0)
         assert ring_state.traversable(net, boundary=5.0)
         assert not ring_state.cut
 
     def test_high_distance_net_cut(self, ring_graph, ring_state):
         net = ring_graph.net("g1")
-        net.dist = 9.0
+        set_dist(ring_graph, "g1", 9.0)
         assert not ring_state.traversable(net, boundary=5.0)
         assert "g1" in ring_state.cut
 
     def test_register_sourced_net_is_free_boundary(self, ring_graph, ring_state):
         net = ring_graph.net("q1")  # sourced by DFF q1
-        net.dist = 100.0
+        set_dist(ring_graph, "q1", 100.0)
         assert not ring_state.traversable(net, boundary=5.0)
         assert "q1" not in ring_state.cut  # boundary, not a cut
 
     def test_cut_decision_sticky(self, ring_graph, ring_state):
         net = ring_graph.net("g1")
-        net.dist = 9.0
+        set_dist(ring_graph, "g1", 9.0)
         ring_state.traversable(net, boundary=5.0)
         # once cut, stays cut even below later boundaries
         assert not ring_state.traversable(net, boundary=50.0)
 
     def test_scc_budget_charged(self, ring_graph, ring_state):
         net = ring_graph.net("g1")
-        net.dist = 9.0
+        set_dist(ring_graph, "g1", 9.0)
         ring_state.traversable(net, boundary=5.0)
         assert ring_state.scc_cuts[0] == 1
 
@@ -48,7 +59,7 @@ class TestCutDecisions:
         """Eq. 6 with β=1, f=2: the third SCC cut is denied."""
         state = CutState(ring_graph, SCCIndex(ring_graph), beta=1)
         for name in ["g1", "g2"]:
-            ring_graph.net(name).dist = 9.0
+            set_dist(ring_graph, name, 9.0)
         assert not state.traversable(ring_graph.net("g1"), 5.0)
         assert not state.traversable(ring_graph.net("g2"), 5.0)
         # budget (β×f = 2... wait f=2 registers, β=1 → budget 2) is now full;
@@ -58,7 +69,7 @@ class TestCutDecisions:
         state2 = CutState(ring_graph, SCCIndex(ring_graph), beta=1)
         state2.scc_cuts[0] = 2  # budget pre-exhausted
         net = ring_graph.net("g1")
-        net.dist = 9.0
+        set_dist(ring_graph, "g1", 9.0)
         assert state2.traversable(net, 5.0)  # forced traversable
         assert state2.budget_exhaustions == 1
         assert "g1" in state2.forced
@@ -66,10 +77,10 @@ class TestCutDecisions:
     def test_forced_nets_pinned_to_zero_distance(self, ring_graph):
         state = CutState(ring_graph, SCCIndex(ring_graph), beta=1)
         state.scc_cuts[0] = 2
-        ring_graph.net("g1").dist = 9.0
-        ring_graph.net("g2").dist = 3.0
+        set_dist(ring_graph, "g1", 9.0)
+        set_dist(ring_graph, "g2", 3.0)
         state.traversable(ring_graph.net("g1"), 5.0)
-        assert ring_graph.net("g2").dist == 0.0  # pinned (Table 7 2.1.2.1)
+        assert dist_of(ring_graph, "g2") == 0.0  # pinned (Table 7 2.1.2.1)
 
     def test_off_scc_net_cut_without_budget(self, pipeline):
         from repro.graphs import build_circuit_graph
@@ -77,7 +88,7 @@ class TestCutDecisions:
         g = build_circuit_graph(pipeline, with_po_nodes=False)
         state = CutState(g, SCCIndex(g), beta=1)
         net = g.net("g1")
-        net.dist = 9.0
+        set_dist(g, "g1", 9.0)
         assert not state.traversable(net, 5.0)
         assert "g1" in state.cut
         assert state.n_cuts() == 1
@@ -166,8 +177,8 @@ class TestMakeSet:
     def test_cut_splits_components(self, pipeline):
         g = build_circuit_graph(pipeline, with_po_nodes=False)
         state = CutState(g, SCCIndex(g), beta=50)
-        g.net("b").dist = 0.5  # PI net; irrelevant
-        g.net("g1").dist = 9.0  # cut candidate
+        set_dist(g, "b", 0.5)  # PI net; irrelevant
+        set_dist(g, "g1", 9.0)  # cut candidate
         groups = make_set(
             g, ["g1", "q1", "g2", "q2", "g3"], boundary=5.0, state=state
         )
@@ -176,4 +187,6 @@ class TestMakeSet:
             for n in grp:
                 owner[n] = i
         # g1 -> q1 net cut, and q-sourced nets are boundaries anyway:
+        assert state.cut == {"g1"}
+        assert owner["g1"] != owner["q1"]
         assert owner["g1"] != owner["g2"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cbit import assemble_cbits
 from repro.config import MercedConfig
-from repro.graphs import SCCIndex, build_circuit_graph
+from repro.graphs import NodeKind, SCCIndex, build_circuit_graph
 from repro.partition import assign_cbit, make_group
 from repro.ppet import build_scan_chain, observer_map, schedule_pipes
 
@@ -35,7 +35,7 @@ class TestObserverMap:
                 s
                 for s in net.sinks
                 if partition.cluster_of(s) is not None
-                and not graph.kind(s).is_register
+                and graph.kind(s) is not NodeKind.REGISTER
             ]
             for sink in comb_sinks:
                 dst = partition.cluster_of(sink).cluster_id

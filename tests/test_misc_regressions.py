@@ -4,8 +4,8 @@ import pytest
 
 from repro import Merced, MercedConfig, load_circuit
 from repro.config import DEFAULT_CONFIG
-from repro.flow import distance_levels, saturate_network
-from repro.graphs import SCCIndex, build_circuit_graph
+from repro.flow import saturate_network
+from repro.graphs import SCCIndex, build_circuit_graph, compile_graph
 from repro.partition import CutState, make_group
 from repro.retiming import solve_cut_retiming
 
@@ -17,10 +17,10 @@ class TestForcedNetsExcludedFromLevels:
         idx = SCCIndex(ring_graph)
         state = CutState(ring_graph, idx, beta=1)
         state.scc_cuts[0] = 99  # force exhaustion
-        net = ring_graph.net("g1")
-        net.dist = 7.0
-        assert state.traversable(net, boundary=5.0)
-        assert ring_graph.net("g2").dist == 0.0
+        cg = compile_graph(ring_graph)
+        cg.dist[cg.net_id["g1"]] = 7.0
+        assert state.traversable(ring_graph.net("g1"), boundary=5.0)
+        assert cg.dist[cg.net_id["g2"]] == 0.0
         # pinned nets stay traversable at any boundary
         assert state.traversable(ring_graph.net("g2"), boundary=0.0)
 
@@ -28,7 +28,7 @@ class TestForcedNetsExcludedFromLevels:
 class TestSaturationLevels:
     def test_levels_reflect_saturation(self, s27_graph):
         saturate_network(s27_graph, MercedConfig(min_visit=4, seed=2))
-        levels = distance_levels(s27_graph)
+        levels = sorted(set(compile_graph(s27_graph).dist), reverse=True)
         assert levels[0] > levels[-1] >= 1.0  # exp(0)=1 minimum
 
 
