@@ -21,11 +21,12 @@ run, so the comparison times exactly the compiled kernels — and the
 bench asserts the two paths are **bit-identical** (same clusters, cuts,
 merge choices, lags, covered and dropped cuts; the retiming round
 count may differ) AND that the compiled path is at least 3x faster.
+The timing table is printed only.
 """
 
 import time
 
-from conftest import bench_config, emit
+from conftest import bench_config
 from repro.circuits import load_circuit
 from repro.core import format_table
 from repro.flow.saturate import saturate_network
@@ -95,7 +96,7 @@ def run_pipeline(graph, scc_index, config, snap, use_compiled):
     }
 
 
-def test_partition_kernel_speedup(benchmark, output_dir):
+def test_partition_kernel_speedup(benchmark):
     config = bench_config(CIRCUIT, LK)
     graph = build_circuit_graph(load_circuit(CIRCUIT), with_po_nodes=False)
     scc_index = SCCIndex(graph)
@@ -133,12 +134,11 @@ def test_partition_kernel_speedup(benchmark, output_dir):
             ["compiled (CSR kernels)", f"{compiled_seconds:.3f}", f"{speedup:.1f}x"],
         ],
     )
-    emit(
-        output_dir,
-        "bench_partition_kernels.txt",
+    print()
+    print(
         f"{CIRCUIT} partition+retiming (post-saturation, l_k={LK}, "
         f"{len(compiled_payload['cut'])} cuts, "
         f"{compiled_payload['n_splits']} splits, retiming on "
         f"{len(compiled_payload['cut_nets'])} cuts at reference-compare "
-        f"stride {REFERENCE_COMPARE_STRIDE}):\n" + table,
+        f"stride {REFERENCE_COMPARE_STRIDE}):\n" + table
     )

@@ -11,6 +11,8 @@ three ways — inline (``jobs=1``), through 4 worker processes
 * with ≥ 4 usable CPUs, ``jobs=4`` is **≥ 2.5×** faster than inline.
   On smaller hosts (CI runners are often 1–2 cores) the speedup is
   reported but not asserted — process parallelism cannot beat physics.
+
+The timing table is printed only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import BENCH_SEED, emit
+from conftest import BENCH_SEED
 from repro import MercedConfig
 from repro.circuits import load_circuit
 from repro.core import format_table
@@ -59,7 +61,7 @@ def run_grid(farm):
     return [r.value for r in results], seconds
 
 
-def test_sweep_farm_scaling(output_dir, tmp_path):
+def test_sweep_farm_scaling(tmp_path):
     cpus = _usable_cpus()
     serial_rows, serial_s = run_grid(SweepFarm(jobs=1))
     pooled_rows, pooled_s = run_grid(SweepFarm(jobs=4))
@@ -115,12 +117,11 @@ def test_sweep_farm_scaling(output_dir, tmp_path):
             ],
         ],
     )
-    emit(
-        output_dir,
-        "bench_sweep_farm.txt",
+    print()
+    print(
         f"Sweep farm scaling on the golden grid "
         f"({len(CIRCUITS)} circuits x l_k {LKS}, {cpus} usable CPU(s)):\n"
         + table
         + f"\nparallel speedup: {speedup_note}; "
-        f"warm cache: {warm_fraction:.1%} of cold",
+        f"warm cache: {warm_fraction:.1%} of cold"
     )

@@ -11,21 +11,14 @@ totals (``dfs_visits``, ``boundary_pops``, ``bf_relaxations``,
 PRs can diff both time and *work* — a counter regression flags an
 algorithmic change even when wall clock is noisy on shared runners.
 
-Every circuit retimes its **full** cut set (``retiming_cut_stride`` is
-recorded as 1 and checked).  Earlier revisions subsampled s5378's cuts
-at stride 16 because a greedy drop loop re-solved feasibility once per
-dropped cut; the exact min-cost-flow solver needs one SPFA round per
-cancelled cycle, so every row runs the whole cut set.
-
 Run (writes the baseline in place):
     PYTHONPATH=src python scripts/bench_trend.py
     PYTHONPATH=src python scripts/bench_trend.py --out other.json
 
 Regression-guard mode (CI): re-runs the workload and compares the
 deterministic fields against the committed baseline without writing —
-exits 2 when ``dropped_cuts`` changes, ``bf_relaxations`` grows by more
-than 10%, or a subsampled (stride ≠ 1) run would be compared against a
-full-cut-set baseline:
+exits 2 when ``dropped_cuts``, ``n_cuts_retimed`` or ``n_clusters``
+changes, or ``bf_relaxations`` grows by more than 10%:
     PYTHONPATH=src python scripts/bench_trend.py --check --circuits s641
 
 ``--check`` also statically validates the committed refinement-tier
@@ -150,7 +143,6 @@ def run_circuit(name: str) -> dict:
         "counters": dict(sorted(trace.counters.items())),
         "n_clusters": len(merged.partition.clusters),
         "n_cuts_retimed": len(cuts),
-        "retiming_cut_stride": 1,
         "dropped_cuts": len(solution.dropped_cuts),
         "covered_cuts": len(solution.covered_cuts),
         "unconstrained_cuts": len(solution.unconstrained_cuts),
@@ -162,26 +154,12 @@ def check_circuit(name: str, result: dict, baseline: dict) -> list:
 
     Returns a list of human-readable regression strings (empty = pass).
     Deterministic fields must match exactly; ``bf_relaxations`` is a
-    work metric and may grow up to :data:`RELAX_TOLERANCE`; any stride
-    other than 1 — on either side — is a subsampled benchmark and fails
-    loudly rather than overwriting or matching a full-cut baseline.
+    work metric and may grow up to :data:`RELAX_TOLERANCE`.
     """
     problems = []
     base = baseline.get("circuits", {}).get(name)
     if base is None:
         return [f"{name}: no committed baseline entry"]
-    if base.get("retiming_cut_stride", 1) != 1:
-        problems.append(
-            f"{name}: committed baseline is subsampled "
-            f"(stride {base['retiming_cut_stride']}); regenerate it at "
-            f"stride 1 before guarding against it"
-        )
-    if result["retiming_cut_stride"] != 1:
-        problems.append(
-            f"{name}: run is subsampled (stride "
-            f"{result['retiming_cut_stride']}); refusing to compare "
-            f"against a full-cut-set baseline"
-        )
     for field in ("dropped_cuts", "n_cuts_retimed", "n_clusters"):
         if field in base and result[field] != base[field]:
             problems.append(
@@ -260,7 +238,7 @@ def main(argv=None) -> None:
         "--check",
         action="store_true",
         help="compare against the committed baseline instead of writing; "
-        "exit 2 on dropped_cuts / bf_relaxations / stride regressions or "
+        "exit 2 on dropped_cuts / bf_relaxations regressions or "
         "a failing optimize baseline (BENCH_optimize.json)",
     )
     args = parser.parse_args(argv)

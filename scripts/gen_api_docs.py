@@ -79,11 +79,11 @@ admission is bounded with `429`-style backpressure (`Retry-After`
 included), per-request deadlines are enforced off the main thread by
 the watchdog, `SIGTERM` drains gracefully (finish in-flight, reject new
 with `503`, flush cache temp files), and `GET /metrics` aggregates the
-service counters, `PerfTrace` stage timers, queue depth, `CacheStats`,
-and watchdog stats. `merced submit` is the matching client CLI built on
-`repro.service.ServiceClient`; `ServiceThread` embeds the service in a
-daemon thread for blocking callers. Payloads are bit-identical to
-inline `Merced.run` results.
+service counters, request/execute latency histograms, queue depth,
+`CacheStats` and watchdog stats. `merced submit` is the matching client
+CLI built on `repro.service.ServiceClient`; `ServiceThread` embeds the
+service in a daemon thread for blocking callers. Payloads are
+bit-identical to inline `Merced.run` results.
 
 ## Compiled graph kernels
 

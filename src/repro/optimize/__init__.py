@@ -35,17 +35,9 @@ from ..partition.clusters import Partition
 from .anneal import anneal_refine
 from .engine import MoveEngine, MoveRecord
 from .fast import fast_refine
-from .refine import (
-    ACELL_DFF,
-    MUX_PREMIUM_DFF,
-    OptimizeResult,
-    refine_cost,
-    schedule_steps,
-)
+from .refine import OptimizeResult, refine_cost, schedule_steps
 
 __all__ = [
-    "ACELL_DFF",
-    "MUX_PREMIUM_DFF",
     "MoveEngine",
     "MoveRecord",
     "OptimizeResult",

@@ -15,11 +15,6 @@ paper's two feasibility budgets *before* it can be applied:
   those flips alone (the same accounting rule the BUD prechecks bound
   from below, measured here on the live partition).
 
-Every membership change goes through
-:meth:`repro.partition.clusters.Cluster.set_membership`, which refreshes
-the cached ``input_count`` — apply and undo both, so the cache can never
-go stale mid-refinement (``Partition.validate`` cross-checks it).
-
 Determinism: all order-sensitive state (cut set, cluster table) lives in
 insertion-ordered dicts and all exports sort by name, so the engine is
 byte-deterministic regardless of ``PYTHONHASHSEED`` or worker count.
@@ -96,10 +91,9 @@ class MoveEngine:
 
         #: insertion-ordered set of current cut nets (deterministic
         #: iteration order: seeded by sorted names, then move history).
-        self.cut: Dict[str, None] = {}
-        for name in sorted(n.name for n in self._candidate_nets()):
-            if self._is_cut(name):
-                self.cut[name] = None
+        self.cut: Dict[str, None] = dict.fromkeys(
+            sorted(partition.cut_nets())
+        )
 
         # Eq. 6 state: charged cuts per SCC and their budgets.  The
         # budget floors at the seed's own charge so a (rare) seed
@@ -118,36 +112,9 @@ class MoveEngine:
                 info.cut_budget(beta), self.scc_cuts.get(info.scc_id, 0)
             )
 
-        self.cluster_cost: Dict[int, float] = {
-            cid: cbit_cost_for_inputs(c.input_count)[0]
-            for cid, c in self.clusters.items()
-        }
-        self.sigma: float = sum(self.cluster_cost.values())
+        self.sigma: float = self.sigma_of(self.snapshot())
 
     # ------------------------------------------------------------------
-    def _candidate_nets(self):
-        """Nets that can ever be cut: comb-sourced with ≥ 1 comb sink."""
-        for net in self.graph.nets():
-            if self.graph.kind(net.source) is not NodeKind.COMB:
-                continue
-            if any(
-                self.graph.kind(s) is NodeKind.COMB for s in net.sinks
-            ):
-                yield net
-
-    def _is_cut(self, net_name: str) -> bool:
-        net = self.graph.net(net_name)
-        if self.graph.kind(net.source) is not NodeKind.COMB:
-            return False
-        src_cid = self.owner.get(net.source)
-        for sink in net.sinks:
-            if (
-                self.graph.kind(sink) is NodeKind.COMB
-                and self.owner.get(sink) != src_cid
-            ):
-                return True
-        return False
-
     def _is_cut_hypo(self, net_name: str, moved: str, to_cid: int) -> bool:
         """Cut status of a net with ``moved`` hypothetically relocated."""
         net = self.graph.net(net_name)
@@ -246,6 +213,18 @@ class MoveEngine:
             ):
                 return None
 
+        # Eq. 4: Σ changes only through the two touched clusters
+        old_cost = cbit_cost_for_inputs(src.input_count)[0] + (
+            cbit_cost_for_inputs(dst.input_count)[0]
+            if dst is not None
+            else 0.0
+        )
+        new_cost = (
+            cbit_cost_for_inputs(len(new_src_inputs))[0]
+            if new_src_nodes
+            else 0.0
+        ) + cbit_cost_for_inputs(len(new_dst_inputs))[0]
+
         # ---- commit ---------------------------------------------------
         record = MoveRecord(
             node=node,
@@ -257,19 +236,12 @@ class MoveEngine:
                 (dst.nodes, dst.input_nets) if dst is not None else None
             ),
             flips=tuple(flips),
-            sigma_delta=0.0,
-        )
-        old_cost = self.cluster_cost[from_cid] + (
-            self.cluster_cost.get(to_cid, 0.0)
+            sigma_delta=new_cost - old_cost,
         )
         if new_src_nodes:
-            src.set_membership(new_src_nodes, new_src_inputs)
-            self.cluster_cost[from_cid] = cbit_cost_for_inputs(
-                src.input_count
-            )[0]
+            src.nodes, src.input_nets = new_src_nodes, new_src_inputs
         else:
             del self.clusters[from_cid]
-            del self.cluster_cost[from_cid]
         if dst is None:
             dst = Cluster(
                 cluster_id=to_cid,
@@ -279,10 +251,7 @@ class MoveEngine:
             self.clusters[to_cid] = dst
             self._next_cid = to_cid + 1
         else:
-            dst.set_membership(new_dst_nodes, new_dst_inputs)
-        self.cluster_cost[to_cid] = cbit_cost_for_inputs(
-            dst.input_count
-        )[0]
+            dst.nodes, dst.input_nets = new_dst_nodes, new_dst_inputs
         self.owner[node] = to_cid
         for name, becomes_cut in flips:
             if becomes_cut:
@@ -291,10 +260,6 @@ class MoveEngine:
                 del self.cut[name]
         for scc_id, delta in deltas.items():
             self.scc_cuts[scc_id] = self.scc_cuts.get(scc_id, 0) + delta
-        new_cost = self.cluster_cost.get(from_cid, 0.0) + (
-            self.cluster_cost[to_cid]
-        )
-        record.sigma_delta = new_cost - old_cost
         self.sigma += record.sigma_delta
         return record
 
@@ -305,13 +270,9 @@ class MoveEngine:
         dst = self.clusters[record.to_cid]
         if record.dst_before is None:
             del self.clusters[record.to_cid]
-            del self.cluster_cost[record.to_cid]
             self._next_cid = record.to_cid
         else:
-            dst.set_membership(*record.dst_before)
-            self.cluster_cost[record.to_cid] = cbit_cost_for_inputs(
-                dst.input_count
-            )[0]
+            dst.nodes, dst.input_nets = record.dst_before
         # source side: restore or resurrect
         src = self.clusters.get(record.from_cid)
         if src is None:
@@ -322,10 +283,7 @@ class MoveEngine:
             )
             self.clusters[record.from_cid] = src
         else:
-            src.set_membership(*record.src_before)
-        self.cluster_cost[record.from_cid] = cbit_cost_for_inputs(
-            src.input_count
-        )[0]
+            src.nodes, src.input_nets = record.src_before
         self.owner[node] = record.from_cid
         for name, became_cut in record.flips:
             if became_cut:
@@ -392,11 +350,6 @@ class MoveEngine:
         every accepted move.
         """
         for cid, c in self.clusters.items():
-            if c.input_count != len(c.input_nets):
-                raise PartitionError(
-                    f"cluster {cid}: cached input_count {c.input_count} "
-                    f"!= {len(c.input_nets)} (stale cache)"
-                )
             recount = cluster_input_nets(self.graph, c.nodes)
             if recount != set(c.input_nets):
                 raise PartitionError(f"cluster {cid}: input nets stale")
@@ -405,9 +358,7 @@ class MoveEngine:
                     f"cluster {cid}: ι={c.input_count} > ceiling "
                     f"{self.iota_ceiling} (Eq. 5 ratchet violated)"
                 )
-        fresh_cuts = {
-            n.name for n in self._candidate_nets() if self._is_cut(n.name)
-        }
+        fresh_cuts = set(self.export_partition().cut_nets())
         if fresh_cuts != set(self.cut):
             raise PartitionError("incremental cut set diverged from recount")
         fresh_scc: Dict[int, int] = {}
@@ -427,10 +378,7 @@ class MoveEngine:
                     f"SCC {scc_id}: charge {have} > budget {budget} "
                     "(Eq. 6 violated)"
                 )
-        fresh_sigma = sum(
-            cbit_cost_for_inputs(c.input_count)[0]
-            for c in self.clusters.values()
-        )
+        fresh_sigma = self.sigma_of(self.snapshot())
         if abs(fresh_sigma - self.sigma) > 1e-6:
             raise PartitionError(
                 f"incremental Σ {self.sigma} != recount {fresh_sigma}"

@@ -9,8 +9,9 @@ where Σ = Σ p_k·n_k is the CBIT catalogue cost (Eq. 4).  A *covered*
 cut shares a retimed existing DFF, so it costs (almost) nothing — the
 ε = 0.01 term only breaks ties inside catalogue plateaus so Σ-neutral
 walks don't silently bloat the cut set.  A cut the retiming could
-*not* cover pays a full MUXed A_CELL (0.9 + 1.4 = 2.3 DFF
-equivalents) — the same per-cell areas the BIST inserter charges.
+*not* cover pays a full MUXed A_CELL (2.3 DFF equivalents,
+``ACELL_MUXED_FACTOR``) — the same per-cell area the BIST inserter
+charges.
 
 **Budget → schedule.**  ``optimize_budget`` (seconds) is converted into
 a move-schedule length by a fixed calibration formula over the circuit
@@ -36,12 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from ..netlist.area import ACELL_MUXED_FACTOR
 from ..partition.clusters import Partition
 
 __all__ = [
-    "ACELL_DFF",
     "CUT_EPSILON",
-    "MUX_PREMIUM_DFF",
     "UNCOVERED_DFF",
     "OptimizeResult",
     "estimate_retime_seconds",
@@ -49,12 +49,8 @@ __all__ = [
     "schedule_steps",
 ]
 
-#: DFF-equivalent area of one A_CELL test register.
-ACELL_DFF = 0.9
-#: Extra DFF equivalents for the MUXed A_CELL an uncovered cut keeps.
-MUX_PREMIUM_DFF = 1.4
 #: Full area charge of an uncovered cut (MUXed A_CELL).
-UNCOVERED_DFF = ACELL_DFF + MUX_PREMIUM_DFF
+UNCOVERED_DFF = ACELL_MUXED_FACTOR
 #: Plateau tie-breaker per constrained cut (covered cuts are otherwise
 #: free — they share a retimed existing DFF).
 CUT_EPSILON = 0.01

@@ -83,9 +83,6 @@ def merge_gain(
 ) -> MergeGain:
     """Evaluate merging ``a`` and ``b`` under input bound ``lk``."""
     merged = merged_input_nets(graph, a, b)
-    shared_or_internalized = (
-        len(a.input_nets) + len(b.input_nets) - len(merged)
-    )
     # cut nets removed: inputs of one operand sourced inside the other
     cuts_removed = 0
     for net_name in a.input_nets:
@@ -96,7 +93,6 @@ def merge_gain(
         src = graph.net(net_name).source
         if graph.kind(src) is NodeKind.COMB and src in a.nodes:
             cuts_removed += 1
-    del shared_or_internalized  # informational; γ already reflects it
     return MergeGain(
         gain=lk - len(merged),
         cuts_removed=cuts_removed,

@@ -19,7 +19,7 @@ Semantics (see DESIGN.md §5 and paper §2.3):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from ..errors import PartitionError
@@ -65,27 +65,11 @@ class Cluster:
     cluster_id: int
     nodes: FrozenSet[str]
     input_nets: FrozenSet[str] = frozenset()
-    #: ι(ϖ), cached at construction — hot sort keys read it constantly
-    input_count: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.input_count = len(self.input_nets)
-
-    def set_membership(
-        self, nodes: Iterable[str], input_nets: Iterable[str]
-    ) -> None:
-        """Replace this cluster's node/input sets, refreshing ``input_count``.
-
-        The refinement tier (:mod:`repro.optimize`) relocates nodes
-        between live clusters; every membership change MUST go through
-        here so the cached ``input_count`` can never go stale — hot sort
-        keys and the Eq. 4/5 accounting read the cache, and
-        :meth:`Partition.validate` cross-checks it against
-        ``len(input_nets)``.
-        """
-        self.nodes = frozenset(nodes)
-        self.input_nets = frozenset(input_nets)
-        self.input_count = len(self.input_nets)
+    @property
+    def input_count(self) -> int:
+        """ι(ϖ) — the number of input nets (O(1) on a frozenset)."""
+        return len(self.input_nets)
 
     @property
     def size(self) -> int:
@@ -203,12 +187,6 @@ class Partition:
             if recount != set(cl.input_nets):
                 raise PartitionError(
                     f"cluster {cl.cluster_id} input nets are stale"
-                )
-            if cl.input_count != len(cl.input_nets):
-                raise PartitionError(
-                    f"cluster {cl.cluster_id} cached input_count "
-                    f"{cl.input_count} is stale (ι = {len(cl.input_nets)}); "
-                    "membership changes must go through set_membership()"
                 )
 
     def summary(self) -> str:

@@ -62,13 +62,15 @@ def _next_boundary(
 ) -> Optional[float]:
     """Highest distance among the cluster's still-traversable comb nets."""
     dist, net_id = state.cg.dist, state.cg.net_id
+    cut_b, forced_b = state.cut_b, state.forced_b
     best: Optional[float] = None
     for node in nodes:
         if graph.kind(node) is not NodeKind.COMB:
             continue
         for net in graph.out_nets(node):
-            d = dist[net_id[net.name]]
-            if net.name in state.cut or net.name in state.forced or d <= 0.0:
+            i = net_id[net.name]
+            d = dist[i]
+            if cut_b[i] or forced_b[i] or d <= 0.0:
                 continue
             # only nets that DFS could actually cross inside this cluster
             if not any(s in nodes for s in net.sinks):

@@ -24,7 +24,7 @@ the original string-keyed implementation as the equivalence oracle
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Optional, Set
 
 from ..graphs.csr import KIND_INPUT, compile_graph
 from ..graphs.digraph import CircuitGraph, Net, NodeKind
@@ -37,11 +37,11 @@ __all__ = ["CutState", "make_set", "make_set_reference"]
 class CutState:
     """Mutable cut bookkeeping shared across ``Make_Set`` invocations.
 
-    Tracks the explicit cut registry ``χ``, the per-SCC charges ``c(λ)``
-    (``scc_cuts``, indexed like ``scc_index.sccs()``) and the nets pinned
-    traversable after a budget exhaustion.  The name sets
-    ``cut``/``forced`` stay authoritative for callers; the parallel
-    per-net-id byte flags are what the compiled kernels test.
+    Tracks the cut registry ``χ`` and the nets pinned traversable after a
+    budget exhaustion as per-net-id byte flags (``cut_b``/``forced_b``,
+    indexed like ``cg.net_names``), and the per-SCC charges ``c(λ)``
+    (``scc_cuts``, indexed like ``scc_index.sccs()``).  ``cut`` and
+    ``forced`` list the flagged net names for callers.
 
     Distances are read from, and pinned in, the graph's compiled view
     (``cg.dist``), where ``Saturate_Network`` left them.
@@ -51,10 +51,7 @@ class CutState:
         self.graph = graph
         self.scc_index = scc_index
         self.beta = beta
-        self.cut: Set[str] = set()
-        self.forced: Set[str] = set()
         self.budget_exhaustions = 0
-        # compiled mirrors -------------------------------------------------
         cg = compile_graph(graph)
         self.cg = cg
         m = cg.n_nets
@@ -70,6 +67,20 @@ class CutState:
             net_id = cg.net_id
             for name in info.internal_nets:
                 self.net_scc[net_id[name]] = k
+
+    @property
+    def cut(self) -> FrozenSet[str]:
+        """Names of the nets in the cut registry ``χ``."""
+        return self._flagged(self.cut_b)
+
+    @property
+    def forced(self) -> FrozenSet[str]:
+        """Names of the nets pinned traversable by a budget exhaustion."""
+        return self._flagged(self.forced_b)
+
+    def _flagged(self, flags: bytearray) -> FrozenSet[str]:
+        names = self.cg.net_names
+        return frozenset(names[i] for i, f in enumerate(flags) if f)
 
     # ------------------------------------------------------------------
     def traversable(self, net: Net, boundary: float) -> bool:
@@ -96,12 +107,10 @@ class CutState:
         k = self.net_scc[i]
         if k < 0:
             self.cut_b[i] = 1
-            self.cut.add(cg.net_names[i])
             return False
         if self.scc_cuts[k] < self._budget[k]:
             self.scc_cuts[k] += 1
             self.cut_b[i] = 1
-            self.cut.add(cg.net_names[i])
             return False
         # Budget exhausted: pin the SCC's remaining nets traversable
         # (Table 7 STEP 2.1.2.1 sets their distance to an insignificant 0).
@@ -112,12 +121,8 @@ class CutState:
             j = net_id[name]
             if not self.cut_b[j]:
                 self.forced_b[j] = 1
-                self.forced.add(name)
                 dist[j] = 0.0
         return True
-
-    def n_cuts(self) -> int:
-        return len(self.cut)
 
 
 def make_set(

@@ -91,18 +91,6 @@ class PerfTrace:
         """Add ``n`` to counter ``name`` (created at 0 on first use)."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def add_stage(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Fold an externally measured duration into stage ``name``.
-
-        The :meth:`stage` context manager times a block in the current
-        thread; ``add_stage`` is for callers that measured the interval
-        themselves (e.g. the compile service timing a request across an
-        executor hop) and just need it accumulated.
-        """
-        slot = self.stages.setdefault(name, {"seconds": 0.0, "calls": 0})
-        slot["seconds"] += seconds
-        slot["calls"] += calls
-
     def set_meta(self, **kwargs) -> None:
         """Attach scalar metadata (circuit name, l_k, seed, ...)."""
         self.meta.update(kwargs)

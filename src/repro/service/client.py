@@ -139,7 +139,7 @@ class ServiceClient:
         return self._checked("GET", "/healthz")
 
     def metrics(self) -> Dict[str, object]:
-        """``GET /metrics`` — counters, stage timers, cache + watchdog stats."""
+        """``GET /metrics`` — counters, latency, cache + watchdog stats."""
         return self._checked("GET", "/metrics")
 
     def wait_ready(self, timeout: float = 10.0) -> Dict[str, object]:

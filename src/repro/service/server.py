@@ -40,8 +40,7 @@ Core mechanics:
   dedicated side executor with its own small pending bound, so it is
   answered even when every execution slot is busy.
 * **Observability** — ``GET /metrics`` aggregates the service
-  counters, the service-level :class:`~repro.perf.PerfTrace` stage
-  timers, p50/p99 request/execute latency histograms
+  counters, p50/p99 request/execute latency histograms
   (:class:`~repro.perf.LatencyHistogram`), queue depth,
   :class:`~repro.exec.cache.CacheStats`, hot-tier stats, and the
   watchdog's armed/fired/unenforced counters.
@@ -72,7 +71,7 @@ from ..exec.pool import SweepFarm
 from ..exec.task import SweepPoint, TaskResult, known_kinds
 from ..exec.watchdog import watchdog_stats
 from ..netlist.bench import parse_bench, write_bench
-from ..perf import LatencyHistogram, PerfTrace
+from ..perf import LatencyHistogram
 from .protocol import (
     MAX_HEAD_BYTES,
     HTTPRequest,
@@ -166,19 +165,17 @@ class ServiceConfig:
 
 
 class ServiceMetrics:
-    """Thread-safe counters + service-level stage timers.
+    """Thread-safe counters + service-level latency histograms.
 
     The execution path crosses threads (event loop → executor), so all
     mutation goes through a lock; :meth:`as_dict` snapshots are
-    consistent.  Stage timers accumulate into a
-    :class:`~repro.perf.PerfTrace` via its ``add_stage`` API —
-    ``request`` (whole HTTP request) and ``execute`` (admission to farm
-    completion, queue wait included).
+    consistent.  The ``request`` histogram times the whole HTTP request,
+    ``execute`` runs from admission to farm completion (queue wait
+    included); each keeps its sample count and total seconds.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.trace = PerfTrace(label="service")
         self.latency: Dict[str, LatencyHistogram] = {
             "request": LatencyHistogram(),
             "execute": LatencyHistogram(),
@@ -208,11 +205,6 @@ class ServiceMetrics:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
 
-    def record_stage(self, name: str, seconds: float) -> None:
-        """Fold one externally timed stage interval into the trace."""
-        with self._lock:
-            self.trace.add_stage(name, seconds)
-
     def observe_latency(self, name: str, seconds: float) -> None:
         """Record one latency sample on histogram ``name``."""
         with self._lock:
@@ -222,11 +214,10 @@ class ServiceMetrics:
             histogram.observe(seconds)
 
     def as_dict(self) -> Dict[str, object]:
-        """Consistent snapshot of counters + perf trace + latency."""
+        """Consistent snapshot of counters + latency."""
         with self._lock:
             return {
                 "counters": dict(self.counters),
-                "perf": self.trace.to_dict(),
                 "latency": {
                     name: histogram.as_dict()
                     for name, histogram in self.latency.items()
@@ -471,9 +462,9 @@ class CompileService:
             self.metrics.bump("requests")
             t0 = time.perf_counter()
             status, payload, extra = await self._dispatch(request)
-            dt = time.perf_counter() - t0
-            self.metrics.record_stage("request", dt)
-            self.metrics.observe_latency("request", dt)
+            self.metrics.observe_latency(
+                "request", time.perf_counter() - t0
+            )
         except ProtocolError as exc:
             self.metrics.bump("bad_requests")
             status, payload, extra = (
@@ -583,7 +574,6 @@ class CompileService:
                 "workers": self.config.workers,
             },
             "counters": snapshot["counters"],
-            "perf": snapshot["perf"],
             "latency": snapshot["latency"],
             "cache": (
                 self.cache.stats_snapshot()
@@ -731,9 +721,7 @@ class CompileService:
                 "error_type": "SweepTimeoutError",
                 "coalesced": False,
             }
-        dt = time.perf_counter() - t0
-        self.metrics.record_stage("execute", dt)
-        self.metrics.observe_latency("execute", dt)
+        self.metrics.observe_latency("execute", time.perf_counter() - t0)
         return self._result_response(results[0], key)
 
     def _release_stranded(self, call: asyncio.Future) -> None:

@@ -33,6 +33,18 @@ class TestInputCount:
         nets = cluster_input_nets(s27_graph, {"G15", "G16"})
         assert nets == {"G12", "G8", "G3"}
 
+    def test_input_count_follows_direct_reassignment(self, s27_graph):
+        """ι is read off ``input_nets``: relocating nodes by assigning the
+        membership fields directly (as the refinement engine does) needs
+        no refresh step."""
+        cl = Cluster.from_nodes(0, s27_graph, {"G8"})
+        assert cl.input_count == 2
+        cl.nodes = frozenset({"G15", "G16"})
+        cl.input_nets = frozenset(
+            cluster_input_nets(s27_graph, cl.nodes)
+        )
+        assert cl.input_count == len(cl.input_nets) == 3
+
 
 class TestPartition:
     def make_partition(self, graph, groups, lk=3):

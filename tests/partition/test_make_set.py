@@ -91,7 +91,7 @@ class TestCutDecisions:
         set_dist(g, "g1", 9.0)
         assert not state.traversable(net, 5.0)
         assert "g1" in state.cut
-        assert state.n_cuts() == 1
+        assert len(state.cut) == 1
 
 
 class TestMakeSet:

@@ -107,7 +107,7 @@ def test_metrics_document_shape(boot):
     assert set(payload) >= {
         "service",
         "counters",
-        "perf",
+        "latency",
         "cache",
         "watchdog",
     }
