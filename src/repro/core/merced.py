@@ -296,6 +296,9 @@ def compile_circuit(
         retiming = solve_cut_retiming(
             graph, report.partition.cut_nets(), pin_io=pin_io
         )
+    # The solution keeps only its edge list, so the PO-sink graph can go
+    # before apply_retiming builds the (register-heavy) retimed netlist.
+    del graph
     with perf_stage("apply_retiming"):
         retimed = apply_retiming(netlist, retiming.retiming.rho)
     with perf_stage("insert_test_hardware"):

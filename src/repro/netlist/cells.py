@@ -8,7 +8,7 @@ read it (its fan-out branches) — the "multi-pin" net model of Section 2.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .gates import GateType, check_fanin, gate_area_units
@@ -20,21 +20,34 @@ __all__ = ["Cell"]
 class Cell:
     """One primitive cell.
 
+    A retimed netlist holds one cell per register, tens of thousands at
+    corpus scale, so the record has slots instead of a ``__dict__``.
+    They are declared by hand (``dataclass(slots=True)`` needs Python
+    3.10), which is why no field has a default.
+
     Attributes:
         output: name of the signal this cell drives (also the cell's name).
         gtype: primitive function of the cell.
         inputs: names of the signals read by the cell, in pin order.
     """
 
+    __slots__ = ("output", "gtype", "inputs")
+
     output: str
     gtype: GateType
-    inputs: Tuple[str, ...] = field(default_factory=tuple)
+    inputs: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.output:
             raise ValueError("cell output signal name must be non-empty")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         check_fanin(self.gtype, len(self.inputs))
+
+    def __reduce__(self):
+        # The default slot-state unpickling would assign each slot
+        # through the frozen ``__setattr__``; rebuild through
+        # ``__init__`` instead.
+        return Cell, (self.output, self.gtype, self.inputs)
 
     @property
     def is_dff(self) -> bool:

@@ -7,8 +7,9 @@ many edge relaxations did they perform, how many nets were cut, how many
 merge candidates did ``Assign_CBIT`` score.  This module provides a small,
 dependency-free tracing facility:
 
-* :class:`PerfTrace` — an accumulator of named stages (wall-clock seconds
-  + call counts) and named counters, serializable to JSON;
+* :class:`PerfTrace` — an accumulator of named stages (wall-clock seconds,
+  call counts and the process's peak RSS at exit) and named counters,
+  serializable to JSON;
 * a module-level *active trace*: instrumented code calls :func:`stage` /
   :func:`count`, which are near-zero-cost no-ops until a trace is
   activated (one ``is None`` check);
@@ -35,10 +36,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - e.g. Windows
+    resource = None  # type: ignore[assignment]
 
 __all__ = [
     "PerfTrace",
@@ -55,12 +62,28 @@ __all__ = [
 ]
 
 
+def _peak_rss_mb() -> Optional[float]:
+    """The process's peak resident set size so far, in MB.
+
+    ``ru_maxrss`` is a high-water mark in kilobytes on Linux and in bytes
+    on macOS.  ``None`` where the :mod:`resource` module is missing.
+    """
+    if resource is None:  # pragma: no cover - e.g. Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 class PerfTrace:
     """Accumulator of per-stage wall-clock timings and named counters.
 
     Attributes:
         label: free-form run label (circuit name, bench id, ...).
-        stages: stage name → ``{"seconds": float, "calls": int}``.
+        stages: stage name → ``{"seconds": float, "calls": int,
+            "peak_rss_mb": float}``; ``peak_rss_mb`` is the process's
+            peak RSS when the stage last exited (omitted where
+            :mod:`resource` is missing), so a stage reading above the
+            stages that ran before it raised the peak.
         counters: counter name → accumulated integer value.
         meta: free-form scalar metadata merged into the JSON trace.
     """
@@ -86,6 +109,9 @@ class PerfTrace:
             slot = self.stages.setdefault(name, {"seconds": 0.0, "calls": 0})
             slot["seconds"] += elapsed
             slot["calls"] += 1
+            peak = _peak_rss_mb()
+            if peak is not None:
+                slot["peak_rss_mb"] = peak
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to counter ``name`` (created at 0 on first use)."""
@@ -98,11 +124,12 @@ class PerfTrace:
     def merge(self, data: Dict[str, object]) -> None:
         """Fold another trace's :meth:`to_dict` into this one.
 
-        Stage seconds/call counts and counters accumulate; the other
-        trace's label and metadata are ignored.  This is how the sweep
-        farm aggregates per-worker traces into the parent process's
-        trace, so ``merced sweep --profile`` reports totals across
-        processes.
+        Stage seconds/call counts and counters accumulate, and a stage's
+        ``peak_rss_mb`` keeps the larger value; the other trace's label
+        and metadata are ignored.  This is how the sweep farm aggregates
+        per-worker traces into the parent process's trace, so
+        ``merced sweep --profile`` reports totals across processes and
+        the largest worker's peak.
 
         Example:
             >>> a, b = PerfTrace("a"), PerfTrace("b")
@@ -116,6 +143,10 @@ class PerfTrace:
             mine = self.stages.setdefault(name, {"seconds": 0.0, "calls": 0})
             mine["seconds"] += float(slot.get("seconds", 0.0))
             mine["calls"] += int(slot.get("calls", 0))
+            if "peak_rss_mb" in slot:
+                mine["peak_rss_mb"] = max(
+                    mine.get("peak_rss_mb", 0.0), float(slot["peak_rss_mb"])
+                )
         for name, value in data.get("counters", {}).items():
             self.counters[name] = self.counters.get(name, 0) + int(value)
 
@@ -133,10 +164,7 @@ class PerfTrace:
             "label": self.label,
             "total_seconds": self.total_seconds,
             "stages": {
-                name: {
-                    "seconds": slot["seconds"],
-                    "calls": int(slot["calls"]),
-                }
+                name: {**slot, "calls": int(slot["calls"])}
                 for name, slot in self.stages.items()
             },
             "counters": dict(self.counters),

@@ -11,7 +11,7 @@ high-fanout gate can *reduce* total register count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import IllegalRetimingError, RetimingError
 from ..graphs.build import PO_NODE_PREFIX
@@ -78,13 +78,14 @@ def apply_retiming(
     def lag(node: str) -> int:
         return rho.get(node, 0)
 
-    # desired register count per (reader cell pin) and per PO
-    chain_need: Dict[str, int] = {}  # driver -> max registers needed
-    pin_regs: Dict[Tuple[str, int], Tuple[str, int]] = {}
-    po_regs: Dict[str, Tuple[str, int]] = {}
-
-    for cell in netlist.comb_cells():
-        for pin, sig in enumerate(cell.inputs):
+    # (driver, registers) per comb-cell pin and per PO, and the longest
+    # chain each driver's readers need
+    need: Dict[str, int] = {}
+    comb = list(netlist.comb_cells())
+    pin_reads: List[Tuple[Tuple[str, int], ...]] = []
+    for cell in comb:
+        reads = []
+        for sig in cell.inputs:
             driver, k = trace_to_driver(netlist, sig)
             w_new = k + lag(cell.output) - lag(driver)
             if w_new < 0:
@@ -92,8 +93,10 @@ def apply_retiming(
                     f"connection {driver} -> {cell.output} would hold "
                     f"{w_new} registers"
                 )
-            pin_regs[(cell.output, pin)] = (driver, w_new)
-            chain_need[driver] = max(chain_need.get(driver, 0), w_new)
+            reads.append((driver, w_new))
+            need[driver] = max(need.get(driver, 0), w_new)
+        pin_reads.append(tuple(reads))
+    po_reads: List[Tuple[str, int]] = []
     for po in netlist.outputs:
         driver, k = trace_to_driver(netlist, po)
         w_new = k + lag(f"{PO_NODE_PREFIX}{po}") - lag(driver)
@@ -101,32 +104,27 @@ def apply_retiming(
             raise IllegalRetimingError(
                 f"output path {driver} -> {po} would hold {w_new} registers"
             )
-        po_regs[po] = (driver, w_new)
-        chain_need[driver] = max(chain_need.get(driver, 0), w_new)
+        po_reads.append((driver, w_new))
+        need[driver] = max(need.get(driver, 0), w_new)
 
-    # register chains, shared across each driver's fan-out
-    chain_sig: Dict[Tuple[str, int], str] = {}
-    for driver, need in chain_need.items():
-        prev = driver
-        chain_sig[(driver, 0)] = driver
-        for i in range(1, need + 1):
+    # one register chain per driver, shared across its fan-out:
+    # chains[driver][i] is the signal i registers past the driver
+    chains: Dict[str, List[str]] = {}
+    for driver, n in need.items():
+        chain = chains[driver] = [driver]
+        for i in range(1, n + 1):
             reg = f"{driver}__rt{i}"
-            out.add_dff(reg, prev)
-            chain_sig[(driver, i)] = reg
-            prev = reg
+            out.add_dff(reg, chain[-1])
+            chain.append(reg)
 
     # combinational cells with rewired pins
-    for cell in netlist.comb_cells():
-        new_inputs = tuple(
-            chain_sig[pin_regs[(cell.output, pin)]]
-            for pin in range(cell.fanin)
-        )
+    for cell, reads in zip(comb, pin_reads):
+        new_inputs = tuple(chains[driver][w] for driver, w in reads)
         out.add_cell(Cell(cell.output, cell.gtype, new_inputs))
 
     po_map: Dict[str, str] = {}
-    for po in netlist.outputs:
-        sig = chain_sig[po_regs[po]]
-        po_map[po] = sig
+    for po, (driver, w) in zip(netlist.outputs, po_reads):
+        sig = po_map[po] = chains[driver][w]
         if sig not in out.outputs:
             out.add_output(sig)
 
@@ -136,5 +134,5 @@ def apply_retiming(
         rho=dict(rho),
         po_map=po_map,
         n_registers_before=sum(1 for _ in netlist.dff_cells()),
-        n_registers_after=sum(1 for _ in out.dff_cells()),
+        n_registers_after=sum(need.values()),
     )

@@ -1,14 +1,18 @@
 """Cell record invariants."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist import Cell, GateType
+from repro.netlist import Cell, GateType, Netlist
 
 
 def test_cell_is_frozen():
     cell = Cell("g", GateType.NAND, ("a", "b"))
-    with pytest.raises(Exception):
+    with pytest.raises(FrozenInstanceError):
         cell.output = "h"
 
 
@@ -53,3 +57,36 @@ def test_equality_and_hash():
     b = Cell("g", GateType.NAND, ("a", "b"))
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_cell_has_slots_not_a_dict():
+    cell = Cell("g", GateType.NAND, ("a", "b"))
+    assert not hasattr(cell, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        cell.extra = 1
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_cell_and_netlist_pickle_round_trip(protocol):
+    cell = Cell("g", GateType.NAND, ("a", "b"))
+    back = pickle.loads(pickle.dumps(cell, protocol))
+    assert back == cell and hash(back) == hash(cell)
+    assert back.gtype is GateType.NAND
+
+    nl = Netlist("toy")
+    nl.add_input("a")
+    nl.add_input("b")
+    nl.add_cell(cell)
+    nl.add_dff("q", "g")
+    nl.add_output("q")
+    dup = pickle.loads(pickle.dumps(nl, protocol))
+    assert dup.name == "toy"
+    assert (dup.inputs, dup.outputs) == (nl.inputs, nl.outputs)
+    assert list(dup.cells()) == list(nl.cells())
+    dup.validate()
+
+
+def test_deepcopy_gives_an_equal_cell():
+    cell = Cell("g", GateType.NAND, ("a", "b"))
+    dup = copy.deepcopy(cell)
+    assert dup == cell and hash(dup) == hash(cell)

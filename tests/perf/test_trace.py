@@ -35,6 +35,32 @@ class TestPerfTrace:
                 raise ValueError("x")
         assert trace.stages["boom"]["calls"] == 1
 
+    def test_stage_records_peak_rss(self):
+        pytest.importorskip("resource")
+        trace = PerfTrace()
+        with trace.stage("a"):
+            pass
+        peak = trace.stages["a"]["peak_rss_mb"]
+        assert peak > 0
+        assert trace.to_dict()["stages"]["a"]["peak_rss_mb"] == peak
+
+    def test_merge_keeps_the_larger_peak_rss(self):
+        def worker(seconds, peak):
+            slot = {"seconds": seconds, "calls": 1}
+            if peak is not None:
+                slot["peak_rss_mb"] = peak
+            return {"stages": {"compile": slot}}
+
+        trace = PerfTrace()
+        trace.merge(worker(1.0, None))
+        assert "peak_rss_mb" not in trace.stages["compile"]
+        trace.merge(worker(1.0, 80.0))
+        trace.merge(worker(2.0, 50.0))
+        trace.merge(worker(0.5, None))
+        slot = trace.stages["compile"]
+        assert slot["peak_rss_mb"] == 80.0
+        assert (slot["seconds"], slot["calls"]) == (4.5, 4)
+
     def test_counters_and_meta(self):
         trace = PerfTrace()
         trace.count("nets_cut")
