@@ -38,9 +38,9 @@ use `PYTHONPATH=src` (e.g. `PYTHONPATH=src python -m pytest -x -q`).
 
 `merced CIRCUIT --profile [FILE]` emits a JSON trace of per-stage
 wall-clock timers and hot-path counters (Dijkstra runs, relaxations,
-flow injections, merge attempts, nets cut, faults graded) to `FILE`, or
-to stdout when no file is given; combined with `--selftest` the PPET
-session is traced too. Programmatically, wrap any code in
+flow injections, merge gain evaluations, nets cut, faults graded) to
+`FILE`, or to stdout when no file is given; combined with `--selftest`
+the PPET session is traced too. Programmatically, wrap any code in
 `repro.perf.profiled(label)` to get a `PerfTrace`, or call
 `activate`/`deactivate` for explicit control; `repro.perf.stage(name)`
 and `repro.perf.count(name, n)` are the no-op-when-inactive probes the

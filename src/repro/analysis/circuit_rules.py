@@ -332,7 +332,7 @@ def _bud001(ctx: RuleContext) -> Iterator[Finding]:
     net = ctx.netlist
     lk = ctx.config.lk
     for cell in net.cells():
-        if cell.is_dff or cell.output in ctx.locked:
+        if cell.is_dff:
             continue
         boundary = set()
         for sig in set(cell.inputs):
@@ -359,7 +359,7 @@ def _bud002(ctx: RuleContext) -> Iterator[Finding]:
     net = ctx.netlist
     lk = ctx.config.lk
     for cell in net.cells():
-        if cell.is_dff or cell.output in ctx.locked:
+        if cell.is_dff:
             continue
         distinct = {s for s in cell.inputs if net.has_signal(s)}
         boundary = {
@@ -392,9 +392,7 @@ def _bud003(ctx: RuleContext) -> Iterator[Finding]:
     from .precheck import budget_prechecks
 
     beta = ctx.config.beta
-    for bound in budget_prechecks(
-        cg, scc_index, ctx.config.lk, locked=ctx.locked
-    ):
+    for bound in budget_prechecks(cg, scc_index, ctx.config.lk):
         if bound.feasible(beta):
             continue
         need = (

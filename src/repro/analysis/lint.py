@@ -16,7 +16,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from ..config import MercedConfig
 from ..errors import AnalysisError, BenchParseError, InfeasiblePartitionError
@@ -46,7 +46,6 @@ def lint_circuit(
     graph=None,
     scc_index=None,
     bench_text: Optional[str] = None,
-    locked: Optional[Set[str]] = None,
     rules: Optional[Sequence[str]] = None,
     suppress: Sequence[str] = (),
     min_severity: str = "info",
@@ -63,8 +62,6 @@ def lint_circuit(
         scc_index: an existing SCC index to reuse.
         bench_text: raw ``.bench`` source, enabling the pre-parse
             ``NET006`` multiply-driven scan.
-        locked: node names exempt from the feasibility rules (mirrors
-            ``make_group``'s locked-cluster exemption).
         rules: restrict the run to these rule ids (default: all).
         suppress: rule ids whose findings are dropped from the report.
         min_severity: findings below this severity are dropped.
@@ -76,7 +73,6 @@ def lint_circuit(
         graph=graph,
         scc_index=scc_index,
         bench_text=bench_text,
-        locked=locked,
     )
     diags = run_rules(catalog, ctx)
     report = DiagnosticReport(
@@ -93,7 +89,6 @@ def lint_gate(
     *,
     graph=None,
     scc_index=None,
-    locked: Optional[Set[str]] = None,
 ) -> DiagnosticReport:
     """Entry gate for ``Merced.run``: abort on errors, count warnings.
 
@@ -110,13 +105,7 @@ def lint_gate(
     ``lint_info`` and per-rule ``lint.<RULE>`` counters) so
     ``merced --profile`` surfaces them.
     """
-    report = lint_circuit(
-        netlist,
-        config,
-        graph=graph,
-        scc_index=scc_index,
-        locked=locked,
-    )
+    report = lint_circuit(netlist, config, graph=graph, scc_index=scc_index)
     errors = report.errors
     if errors:
         feasibility_only = all(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, inf
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..graphs.csr import KIND_COMB, CompiledGraph
 
@@ -190,22 +190,10 @@ def scc_cut_lower_bound(
 
 
 def budget_prechecks(
-    cg: CompiledGraph,
-    scc_index,
-    lk: int,
-    locked: Optional[Set[str]] = None,
+    cg: CompiledGraph, scc_index, lk: int
 ) -> List[SCCBudgetBound]:
-    """Lower bounds for every non-trivial SCC of the circuit.
-
-    SCCs containing locked nodes are skipped — ``make_group`` exempts
-    locked clusters from the feasibility check, so no budget verdict can
-    be drawn for them statically.
-    """
-    out: List[SCCBudgetBound] = []
-    for info in scc_index.sccs():
-        if locked and locked.intersection(info.nodes):
-            continue
-        out.append(
-            scc_cut_lower_bound(cg, info.nodes, lk, scc_id=info.scc_id)
-        )
-    return out
+    """Lower bounds for every non-trivial SCC of the circuit."""
+    return [
+        scc_cut_lower_bound(cg, info.nodes, lk, scc_id=info.scc_id)
+        for info in scc_index.sccs()
+    ]

@@ -138,12 +138,10 @@ class RuleContext:
         graph=None,
         scc_index=None,
         bench_text: Optional[str] = None,
-        locked: Optional[Set[str]] = None,
     ):
         self.netlist = netlist
         self.config = config or MercedConfig()
         self.bench_text = bench_text
-        self.locked: Set[str] = set(locked or ())
         self._graph = graph
         self._scc_index = scc_index
         self._cg = None

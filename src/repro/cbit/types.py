@@ -15,7 +15,7 @@ for arbitrary lengths; the bench for Table 1 prints both side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import CBITError
 from ..netlist.area import ACELL_AREA_UNITS, DFF_AREA_UNITS
@@ -114,14 +114,13 @@ def testing_time_cycles(length: int) -> int:
     return 1 << length
 
 
-def cbit_cost_for_inputs(
-    n_inputs: int, catalogue: Sequence[CBITType] = PAPER_CBIT_TYPES
-) -> Tuple[float, List[CBITType]]:
-    """Cheapest catalogue CBIT (cascade) covering ``n_inputs`` bits.
+def cbit_cost_for_inputs(n_inputs: int) -> Tuple[float, List[CBITType]]:
+    """Cheapest Table 1 CBIT (cascade) covering ``n_inputs`` bits.
 
     Clusters wider than the largest type use cascaded CBITs (CBITs are
     cascadable by construction); within the catalogue the smallest
-    covering type is also the cheapest because ``p_k`` grows with length.
+    covering type (:func:`smallest_type_for`) is also the cheapest
+    because ``p_k`` grows with length.
 
     Returns:
         ``(total p cost in DFF equivalents, list of types used)``.
@@ -130,15 +129,11 @@ def cbit_cost_for_inputs(
         raise CBITError(f"n_inputs must be non-negative, got {n_inputs}")
     if n_inputs == 0:
         return 0.0, []
-    ordered = sorted(catalogue, key=lambda t: t.length)
-    largest = ordered[-1]
+    largest = PAPER_CBIT_TYPES[-1]
     types: List[CBITType] = []
     remaining = n_inputs
     while remaining > largest.length:
         types.append(largest)
         remaining -= largest.length
-    for t in ordered:
-        if t.length >= remaining:
-            types.append(t)
-            break
+    types.append(smallest_type_for(remaining))
     return sum(t.area_dff for t in types), types

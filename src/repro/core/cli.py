@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
         const="-",
         metavar="FILE",
         help="collect per-stage timers and hot-path counters "
-        "(Dijkstra runs, relaxations, nets cut, merge attempts) and emit "
-        "the JSON trace to FILE, or to stdout when no FILE is given",
+        "(Dijkstra runs, relaxations, nets cut, merge gain evaluations) "
+        "and emit the JSON trace to FILE, or to stdout when no FILE is "
+        "given",
     )
     _add_optimize_args(parser)
     return parser

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Optional, Set
+from typing import Optional
 
 from ..analysis.lint import lint_circuit, lint_gate
 from ..cbit.assemble import assemble_cbits
@@ -55,9 +55,7 @@ class Merced:
     def __init__(self, config: Optional[MercedConfig] = None):
         self.config = config or MercedConfig()
 
-    def run(
-        self, netlist: Netlist, locked: Optional[Set[str]] = None
-    ) -> MercedReport:
+    def run(self, netlist: Netlist) -> MercedReport:
         """Run STEPs 1–4 on ``netlist`` and return the full report.
 
         Every run builds its own graph: ``Saturate_Network`` and
@@ -66,7 +64,6 @@ class Merced:
 
         Args:
             netlist: a validated synchronous circuit.
-            locked: cell names Merced must not regroup (Table 5 option).
 
         Raises:
             AnalysisError: the entry lint gate found structural errors
@@ -83,7 +80,7 @@ class Merced:
             # Re-diagnose through the linter so the abort carries a
             # structured report (undriven signals, combinational loops,
             # empty interface) instead of the first hard check's message.
-            report = lint_circuit(netlist, self.config, locked=locked)
+            report = lint_circuit(netlist, self.config)
             if report.has_errors:
                 gate_exc = AnalysisError(
                     "circuit lint failed:\n" + report.render_text()
@@ -114,33 +111,18 @@ class Merced:
             # before any pipeline stage burns time on a doomed point.
             # Reuses graph/scc_index (and the CompiledGraph cached on
             # the graph), so no second graph build happens here.
-            lint_gate(
-                netlist,
-                self.config,
-                graph=graph,
-                scc_index=scc_index,
-                locked=locked,
-            )
+            lint_gate(netlist, self.config, graph=graph, scc_index=scc_index)
         with perf_stage("make_group"):
-            group = make_group(  # STEP 3 (Tables 3-7)
-                graph, scc_index, self.config, locked=locked
-            )
+            # STEP 3 (Tables 3-7)
+            group = make_group(graph, scc_index, self.config)
         perf_count("splits", group.n_splits)
+        partition = group.partition
+        n_merges = 0
         if self.config.merge_clusters:
             with perf_stage("assign_cbit"):
-                assigned = assign_cbit(group.partition)  # STEP 3 (Table 8)
+                assigned = assign_cbit(partition)  # STEP 3 (Table 8)
             partition = assigned.partition
-            cost_dff = assigned.cost_dff
             n_merges = assigned.n_merges
-        else:
-            from ..cbit.types import cbit_cost_for_inputs
-
-            partition = group.partition
-            cost_dff = sum(
-                cbit_cost_for_inputs(c.input_count)[0]
-                for c in partition.clusters
-            )
-            n_merges = 0
         perf_count("merges", n_merges)
 
         optimize_stats = None
@@ -154,10 +136,8 @@ class Merced:
                     partition,
                     self.config,
                     name=netlist.name,
-                    locked=locked,
                 )
             partition = refined.partition
-            cost_dff = refined.sigma_after
             optimize_stats = refined.stats()
             perf_count("optimize_moves", refined.n_accepted)
         cpu = time.perf_counter() - t0
@@ -193,13 +173,12 @@ class Merced:
             n_merges=n_merges,
             n_splits=group.n_splits,
             saturation_sources=group.saturation.n_sources,
-            cost_dff=cost_dff,
             optimize=optimize_stats,
         )
 
-    def run_named(self, name: str, **kwargs) -> MercedReport:
+    def run_named(self, name: str) -> MercedReport:
         """Convenience: :func:`repro.circuits.load_circuit` then :meth:`run`."""
-        return self.run(load_circuit(name), **kwargs)
+        return self.run(load_circuit(name))
 
 
 class CompilationArtifacts:

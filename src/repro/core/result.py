@@ -49,7 +49,6 @@ class MercedReport:
     n_merges: int
     n_splits: int
     saturation_sources: int
-    cost_dff: float  # Σ = Σ p_k n_k (Eq. 4)
     #: refinement summary (``OptimizeResult.stats()``) when the run was
     #: compiled with ``config.optimize``; ``None`` otherwise, keeping
     #: the payload shape of non-optimized runs unchanged.
@@ -58,6 +57,11 @@ class MercedReport:
     @property
     def n_partitions(self) -> int:
         return self.partition.m
+
+    @property
+    def cost_dff(self) -> float:
+        """Σ = Σ p_k n_k (Eq. 4) of the returned partition's CBIT plan."""
+        return self.plan.total_cost_dff
 
     def render(self) -> str:
         s = self.circuit_stats

@@ -25,7 +25,7 @@ Entry point: :func:`optimize_partition`, dispatching on
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from ..config import ConfigError, MercedConfig
 from ..graphs.digraph import CircuitGraph
@@ -58,7 +58,6 @@ def optimize_partition(
     config: MercedConfig,
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
-    locked: Optional[Set[str]] = None,
     audit: bool = False,
 ) -> OptimizeResult:
     """Run the refinement variant selected by ``config.optimize``.
@@ -82,6 +81,5 @@ def optimize_partition(
         config,
         name=name,
         edges=edges,
-        locked=locked,
         audit=audit,
     )

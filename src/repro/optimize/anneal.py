@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from ..circuits.generator import resolve_seed
 from ..config import MercedConfig
@@ -89,7 +89,6 @@ def anneal_refine(
     config: MercedConfig,
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
-    locked: Optional[Set[str]] = None,
     audit: bool = False,
 ) -> OptimizeResult:
     """Refine ``partition`` by legality-checked simulated annealing.
@@ -105,16 +104,13 @@ def anneal_refine(
             seed.
         edges: precomputed ``register_weighted_edges(graph)`` to reuse
             (computed once here otherwise and shared by every re-solve).
-        locked: node names the annealer must not relocate.
         audit: run :meth:`MoveEngine.assert_consistent` after every
             accepted move (the property-test hook; quadratic, tests
             only).
     """
     if edges is None:
         edges = register_weighted_edges(graph)
-    engine = MoveEngine(
-        graph, scc_index, partition, beta=config.beta, locked=locked
-    )
+    engine = MoveEngine(graph, scc_index, partition, beta=config.beta)
     rng = random.Random(resolve_seed(f"optimize:{name}", config.seed))
 
     movable = [

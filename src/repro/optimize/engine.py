@@ -62,13 +62,11 @@ class MoveEngine:
         scc_index: SCCIndex,
         partition: Partition,
         beta: int,
-        locked: Optional[Set[str]] = None,
     ):
         self.graph = graph
         self.scc_index = scc_index
         self.lk = partition.lk
         self.beta = beta
-        self.locked = frozenset(locked or ())
         # Working copies — the seed partition's clusters are never
         # mutated, so the caller can fall back to them unchanged.
         self.clusters: Dict[int, Cluster] = {}
@@ -137,8 +135,8 @@ class MoveEngine:
         return len(self.cut)
 
     def movable_nodes(self) -> List[str]:
-        """Relocatable nodes: cluster members that are not locked."""
-        return sorted(n for n in self.owner if n not in self.locked)
+        """Relocatable nodes: every cluster member, sorted."""
+        return sorted(self.owner)
 
     def new_cluster_id(self) -> int:
         """The id a relocation into a fresh cluster would use."""
@@ -152,7 +150,7 @@ class MoveEngine:
         or ``None`` when the move is illegal under Eq. 5/6 or a no-op —
         in which case **no state was modified**.
         """
-        if node in self.locked or node not in self.owner:
+        if node not in self.owner:
             return None
         from_cid = self.owner[node]
         if to_cid == from_cid:

@@ -19,7 +19,7 @@ uses, and the loop stops early once a full sweep keeps nothing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 from ..config import MercedConfig
 from ..graphs.digraph import CircuitGraph, NodeKind
@@ -40,7 +40,6 @@ def fast_refine(
     config: MercedConfig,
     name: str = "",
     edges: Optional[Sequence[WeightedEdge]] = None,
-    locked: Optional[Set[str]] = None,
     audit: bool = False,
 ) -> OptimizeResult:
     """Greedy cut-absorption sweeps; strictly improving moves only.
@@ -52,9 +51,7 @@ def fast_refine(
     del name  # no RNG in the fast tier
     if edges is None:
         edges = register_weighted_edges(graph)
-    engine = MoveEngine(
-        graph, scc_index, partition, beta=config.beta, locked=locked
-    )
+    engine = MoveEngine(graph, scc_index, partition, beta=config.beta)
 
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts

@@ -242,9 +242,7 @@ class _WorkingSet:
 
 
 def assign_cbit(
-    partition: Partition,
-    lk: Optional[int] = None,
-    use_compiled: bool = True,
+    partition: Partition, use_compiled: bool = True
 ) -> AssignCBITResult:
     """Merge ``partition``'s clusters into near-``l_k`` CBIT partitions.
 
@@ -265,7 +263,7 @@ def assign_cbit(
     from ..cbit.types import cbit_cost_for_inputs
 
     graph = partition.graph
-    lk = lk or partition.lk
+    lk = partition.lk
     work = _WorkingSet(graph, partition.clusters)
     cg = work.cg
     final: List[Cluster] = []
@@ -319,7 +317,6 @@ def assign_cbit(
     merged_partition = Partition(
         graph, final, lk=lk, scc_index=partition.scc_index
     )
-    perf_count("merge_attempts", n_attempts)
     perf_count("gain_evals", n_attempts)
     cost = 0.0
     for c in final:
@@ -333,9 +330,7 @@ def assign_cbit(
     )
 
 
-def assign_cbit_reference(
-    partition: Partition, lk: Optional[int] = None
-) -> AssignCBITResult:
+def assign_cbit_reference(partition: Partition) -> AssignCBITResult:
     """Reference twin of :func:`assign_cbit`.
 
     Scores every merge candidate by re-unioning input sets through
@@ -343,7 +338,7 @@ def assign_cbit_reference(
     both paths pick identical merges (the kernel-equivalence suite
     asserts bit-identity end to end).
     """
-    return assign_cbit(partition, lk, use_compiled=False)
+    return assign_cbit(partition, use_compiled=False)
 
 
 def _best_partner_compiled(

@@ -173,7 +173,6 @@ def make_group(
     graph: CircuitGraph,
     scc_index: Optional[SCCIndex] = None,
     config: Optional[MercedConfig] = None,
-    locked: Optional[Set[str]] = None,
     presaturated: bool = False,
     strict: bool = True,
     use_compiled: bool = True,
@@ -186,7 +185,6 @@ def make_group(
             flow state, and a budget exhaustion pins distances to 0.
         scc_index: precomputed SCC index; built here if omitted.
         config: Merced parameters (``l_k``, β, and the saturation knobs).
-        locked: node names Merced must not regroup (kept as singletons).
         presaturated: skip ``Saturate_Network`` and reuse the distances
             an earlier ``saturate_network(graph)`` left in the graph's
             compiled view (used by parameter-sweep ablations).
@@ -206,8 +204,7 @@ def make_group(
     Raises:
         InfeasiblePartitionError: a cluster cannot be reduced below
             ``l_k`` inputs (a cell's fan-in exceeds ``l_k``, or an SCC cut
-            budget welded an oversized region together) — unless the
-            infeasibility is due to locked nodes, which are exempt.
+            budget welded an oversized region together).
     """
     config = config or MercedConfig()
     scc_index = scc_index or SCCIndex(graph)
@@ -227,7 +224,7 @@ def make_group(
     # empty.  Oversized clusters then walk down the distance stack, most
     # congested nets first (Table 4, STEPs 4-5).
     first_boundary = float("inf")
-    groups = _make_set(graph, members, first_boundary, state, locked=locked)
+    groups = _make_set(graph, members, first_boundary, state)
     heaps: Dict[int, List[Tuple[float, int]]] = {}
     boundary_pops = 0
     if use_compiled:
@@ -257,9 +254,7 @@ def make_group(
         if boundary is None:
             infeasible.append(big)
             continue
-        subgroups = _make_set(
-            graph, big.nodes, boundary, state, locked=locked
-        )
+        subgroups = _make_set(graph, big.nodes, boundary, state)
         n_splits += 1
         del live[big.cluster_id]
         heaps.pop(big.cluster_id, None)
@@ -284,13 +279,10 @@ def make_group(
         for i, c in enumerate(final)
     ]
     partition = Partition(graph, final, lk=config.lk, scc_index=scc_index)
-    hard_infeasible = [
-        c for c in infeasible if not (locked and c.nodes & locked)
-    ]
-    if hard_infeasible and strict:
-        worst = max(c.input_count for c in hard_infeasible)
+    if infeasible and strict:
+        worst = max(c.input_count for c in infeasible)
         raise InfeasiblePartitionError(
-            f"{len(hard_infeasible)} cluster(s) cannot meet l_k={config.lk} "
+            f"{len(infeasible)} cluster(s) cannot meet l_k={config.lk} "
             f"(worst ι={worst}); raise l_k or β"
         )
     return MakeGroupResult(

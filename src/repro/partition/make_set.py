@@ -24,7 +24,7 @@ the original string-keyed implementation as the equivalence oracle
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable, List, Set
 
 from ..graphs.csr import KIND_INPUT, compile_graph
 from ..graphs.digraph import CircuitGraph, Net, NodeKind
@@ -130,7 +130,6 @@ def make_set(
     nodes: Iterable[str],
     boundary: float,
     state: CutState,
-    locked: Optional[Set[str]] = None,
 ) -> List[Set[str]]:
     """Group ``nodes`` into clusters below the congestion ``boundary``.
 
@@ -140,16 +139,12 @@ def make_set(
             inputs are ignored if present.
         boundary: current distance threshold (Table 4's Extract_Max value).
         state: shared :class:`CutState`, built on ``graph``.
-        locked: nodes Merced must not touch (Table 5, STEP 2.1); they are
-            returned each as their own singleton cluster.
 
     Returns:
         Disjoint node sets (connected components over traversable nets),
         in discovery order.  Bit-identical to :func:`make_set_reference`
         (same groups, same order, same cut/forced side effects).
     """
-    nodes = list(nodes)
-    locked = locked or set()
     cg = state.cg
     kind = cg.kind
     node_id = cg.node_id
@@ -169,10 +164,9 @@ def make_set(
     member_ids: List[int] = []
     for n in nodes:
         i = node_id[n]
-        if kind[i] != KIND_INPUT and n not in locked:
-            if member_ep[i] != ep:
-                member_ep[i] = ep
-                member_ids.append(i)
+        if kind[i] != KIND_INPUT and member_ep[i] != ep:
+            member_ep[i] = ep
+            member_ids.append(i)
     # Deterministic seed order: str hashing is salted per process, so raw
     # set iteration would make cluster numbering (and SCC budget charging
     # order) vary between runs.  Sorting ids by name rank reproduces
@@ -220,9 +214,6 @@ def make_set(
                         stack.append(s)
         groups.append({node_names[i] for i in group_ids})
     perf_count("dfs_visits", visits)
-    if locked:
-        listed = set(nodes)
-        groups.extend({node} for node in sorted(locked) if node in listed)
     return groups
 
 
@@ -231,16 +222,9 @@ def make_set_reference(
     nodes: Iterable[str],
     boundary: float,
     state: CutState,
-    locked: Optional[Set[str]] = None,
 ) -> List[Set[str]]:
     """Original string-keyed ``Make_Set``, kept as the equivalence oracle."""
-    nodes = list(nodes)
-    locked = locked or set()
-    members = {
-        n
-        for n in nodes
-        if graph.kind(n) is not NodeKind.INPUT and n not in locked
-    }
+    members = {n for n in nodes if graph.kind(n) is not NodeKind.INPUT}
     assigned: Set[str] = set()
     groups: List[Set[str]] = []
     for seed in sorted(members):
@@ -263,7 +247,4 @@ def make_set_reference(
                         assigned.add(neighbor)
                         stack.append(neighbor)
         groups.append(group)
-    if locked:
-        listed = set(nodes)
-        groups.extend({node} for node in sorted(locked) if node in listed)
     return groups

@@ -178,15 +178,6 @@ class TestRetimingAndBudgetRules:
             for d in report.errors
         )
 
-    def test_bud001_exempt_when_locked(self):
-        n = Netlist("wide")
-        for i in range(5):
-            n.add_input(f"i{i}")
-        n.add_gate("wide", GateType.AND, [f"i{i}" for i in range(5)])
-        n.add_output("wide")
-        report = lint_circuit(n, MercedConfig(lk=4), locked={"wide"})
-        assert "BUD001" not in rule_ids(report)
-
     def test_bud002_internal_fanin_exceeds_lk(self):
         n = Netlist("deep")
         n.add_input("a")

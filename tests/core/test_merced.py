@@ -65,13 +65,6 @@ class TestOptions:
         ).exact_area
         assert 0 <= area.n_retimable <= area.n_cut_nets
 
-    def test_locked_cells_stay_isolated(self, s27):
-        report = Merced(MercedConfig(lk=3, seed=7)).run(
-            s27, locked={"G9"}
-        )
-        cl = report.partition.cluster_of("G9")
-        assert cl is not None
-
     def test_determinism(self):
         r1 = Merced(MercedConfig(lk=3, seed=7)).run_named("s27")
         r2 = Merced(MercedConfig(lk=3, seed=7)).run_named("s27")

@@ -78,16 +78,6 @@ class TestLegality:
         assert engine.try_move(node, 10**9) is None  # unknown cluster
         assert _state(engine) == before
 
-    def test_locked_nodes_never_move(self, s510):
-        graph, scc_index, partition, config = s510
-        node = sorted(partition.clusters[0].nodes)[0]
-        engine = MoveEngine(
-            graph, scc_index, partition, beta=config.beta, locked={node}
-        )
-        assert node not in engine.movable_nodes()
-        for cid in engine.clusters:
-            assert engine.try_move(node, cid) is None
-
     def test_iota_ratchet_allows_shrink_blocks_growth(self):
         """Oversized assign_cbit merges stay movable but can't grow.
 

@@ -116,33 +116,18 @@ class TestMakeSet:
         )
         assert all("a" not in g for g in groups)
 
-    def test_locked_nodes_are_singletons(self, ring_graph):
-        state = CutState(ring_graph, SCCIndex(ring_graph), beta=50)
-        groups = make_set(
-            ring_graph,
-            ["g1", "q1", "g2", "q2", "tail"],
-            boundary=100.0,
-            state=state,
-            locked={"tail"},
-        )
-        assert {"tail"} in groups
-
     @pytest.mark.parametrize("kernel", [make_set, make_set_reference])
-    def test_iterator_input_keeps_locked_nodes(self, s27_graph, kernel):
+    def test_iterator_input_matches_list(self, s27_graph, kernel):
         nodes = [
             n
             for n in s27_graph.nodes()
             if s27_graph.kind(n) is not NodeKind.INPUT
         ]
-        locked = {nodes[0]}
         groups = {}
         for label, given in (("list", nodes), ("iter", iter(nodes))):
             state = CutState(s27_graph, SCCIndex(s27_graph), beta=50)
-            groups[label] = kernel(
-                s27_graph, given, 100.0, state, locked=locked
-            )
+            groups[label] = kernel(s27_graph, given, 100.0, state)
         assert groups["iter"] == groups["list"]
-        assert {nodes[0]} in groups["iter"]
 
     def test_reference_twin_identical(self, s27_graph):
         from repro.graphs import NodeKind

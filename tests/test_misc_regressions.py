@@ -91,14 +91,6 @@ class TestSolverOnPipelines:
         drv, k = trace_to_driver(rc.netlist, rc.netlist.cell("g1").inputs[0])
         assert (drv, k) == ("g0", 1)
 
-    def test_locked_node_survives_in_partition(self, s27):
-        report = Merced(MercedConfig(lk=3, seed=7)).run(
-            s27, locked={"G9", "G15"}
-        )
-        report.partition.validate()
-        assert report.partition.cluster_of("G9") is not None
-        assert report.partition.cluster_of("G15") is not None
-
 
 class TestGeneratorStressShapes:
     @pytest.mark.parametrize("name", ["s713", "s820", "s832", "s838.1"])
