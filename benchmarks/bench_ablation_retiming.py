@@ -17,7 +17,7 @@ from repro.core.cost import count_retimable_cuts
 from repro.graphs import SCCIndex, build_circuit_graph
 from repro.circuits import load_circuit
 from repro.partition import assign_cbit, make_group
-from repro.retiming import solve_cut_retiming
+from repro.retiming import max_coverage_retiming
 
 CIRCUIT = "s641"
 SEED = 3
@@ -123,9 +123,9 @@ def run_retimability_comparison():
         scc = SCCIndex(build_circuit_graph(nl, with_po_nodes=False))
         cuts = report.partition.cut_nets()
         budget = count_retimable_cuts(scc, cuts)
-        exact_free = len(solve_cut_retiming(g, cuts).covered_cuts)
+        exact_free = len(max_coverage_retiming(g, cuts).covered_cuts)
         exact_pinned = len(
-            solve_cut_retiming(g, cuts, pin_io=True).covered_cuts
+            max_coverage_retiming(g, cuts, pin_io=True).covered_cuts
         )
         rows.append((name, len(cuts), budget, exact_free, exact_pinned))
     return rows

@@ -33,8 +33,8 @@ from repro.flow.saturate import saturate_network
 from repro.graphs import SCCIndex, build_circuit_graph, compile_graph
 from repro.partition import assign_cbit, make_group
 from repro.retiming.solve import (
-    solve_cut_retiming,
-    solve_cut_retiming_reference,
+    max_coverage_retiming,
+    max_coverage_retiming_reference,
 )
 
 MIN_SPEEDUP = 3.0
@@ -71,7 +71,9 @@ def run_pipeline(graph, scc_index, config, snap, use_compiled):
     merged = assign_cbit(group.partition, use_compiled=use_compiled)
     cuts = merged.partition.cut_nets()[::REFERENCE_COMPARE_STRIDE]
     solve = (
-        solve_cut_retiming if use_compiled else solve_cut_retiming_reference
+        max_coverage_retiming
+        if use_compiled
+        else max_coverage_retiming_reference
     )
     solution = solve(graph, cuts)
     return {

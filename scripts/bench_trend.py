@@ -56,7 +56,7 @@ from repro.flow.saturate import saturate_network  # noqa: E402
 from repro.graphs import SCCIndex, build_circuit_graph  # noqa: E402
 from repro.partition import assign_cbit, make_group  # noqa: E402
 from repro.perf import profiled, stage  # noqa: E402
-from repro.retiming.solve import solve_cut_retiming  # noqa: E402
+from repro.retiming.solve import max_coverage_retiming  # noqa: E402
 
 OUT = REPO / "BENCH_partition.json"
 OPTIMIZE_OUT = REPO / "BENCH_optimize.json"
@@ -133,7 +133,7 @@ def run_circuit(name: str) -> dict:
             merged = assign_cbit(group.partition)
         cuts = merged.partition.cut_nets()
         with stage("retiming"):
-            solution = solve_cut_retiming(graph, cuts)
+            solution = max_coverage_retiming(graph, cuts)
     seconds = time.perf_counter() - t0
     return {
         "seconds": round(seconds, 4),

@@ -12,7 +12,8 @@ The repo carries several pairs of implementations that claim agreement:
 One check needs no second implementation: the cut-retiming solution is
 recounted from the edge list as a legal minimal cover
 (:func:`repro.retiming.verify.verify_drop_set`), so a bug shared by the
-solver and its reference twin still shows.
+solver and its reference twin still shows, and its register count is
+recounted from the same edge list.
 
 This module turns those contracts into a continuous fuzz loop over
 random :class:`~repro.corpus.spec.CorpusSpec` circuits.  Any mismatch is
@@ -44,7 +45,11 @@ from ..netlist.bench import write_bench
 from ..netlist.netlist import Netlist
 from ..partition import assign_cbit, make_group
 from ..partition.assign_cbit import assign_cbit_reference
-from ..retiming.solve import solve_cut_retiming, solve_cut_retiming_reference
+from ..retiming.solve import (
+    max_coverage_retiming,
+    max_coverage_retiming_reference,
+    solve_cut_retiming,
+)
 from .spec import CorpusSpec
 from .topology import generate_corpus_circuit
 
@@ -78,7 +83,7 @@ def pipeline_fingerprint(
     seed: int = 1996,
 ) -> Dict[str, object]:
     """Canonical observable state of one make_group → assign_cbit →
-    solve_cut_retiming run.
+    max_coverage_retiming run.
 
     Every field is order-normalized, so two fingerprints compare with
     ``==`` key by key.  The compiled and reference paths must produce
@@ -94,11 +99,11 @@ def pipeline_fingerprint(
     if use_compiled:
         merged = assign_cbit(group.partition)
         cuts = merged.partition.cut_nets()
-        solution = solve_cut_retiming(graph, cuts)
+        solution = max_coverage_retiming(graph, cuts)
     else:
         merged = assign_cbit_reference(group.partition)
         cuts = merged.partition.cut_nets()
-        solution = solve_cut_retiming_reference(graph, cuts)
+        solution = max_coverage_retiming_reference(graph, cuts)
     return {
         "n_splits": group.n_splits,
         "cut": sorted(group.cut_state.cut),
@@ -159,8 +164,11 @@ def check_solvers(
     (:func:`repro.retiming.verify.verify_drop_set`): legal lags, a
     covered/dropped/unconstrained split of the cut universe, every
     covered cut registered on all its requirement edges, and no dropped
-    cut already fully registered.  :func:`check_pipeline` already holds
-    the solver bit-identical to its reference twin.
+    cut already fully registered.  The register step must keep the
+    coverage step's split, predict the register count the edge list
+    holds under its lags, and hold no more registers than the coverage
+    step's own lags do.  :func:`check_pipeline` already holds the
+    coverage step bit-identical to its reference twin.
     """
     from ..retiming.verify import verify_drop_set
 
@@ -171,7 +179,26 @@ def check_solvers(
     cuts = assign_cbit(group.partition).partition.cut_nets()
     edges = register_weighted_edges(graph)
     solution = solve_cut_retiming(graph, cuts, edges=edges)
-    return verify_drop_set(graph, cuts, solution, edges=edges)
+    problem = verify_drop_set(graph, cuts, solution, edges=edges)
+    if problem is not None:
+        return problem
+    coverage = max_coverage_retiming(graph, cuts, edges=edges)
+    for part in ("covered_cuts", "dropped_cuts", "unconstrained_cuts"):
+        if getattr(solution, part) != getattr(coverage, part):
+            return f"the register step changed {part}"
+    registers = solution.retiming.shared_registers()
+    if solution.registers != registers:
+        return (
+            f"register step predicted {solution.registers} registers; "
+            f"the edge list holds {registers} under its lags"
+        )
+    ceiling = coverage.retiming.shared_registers()
+    if registers > ceiling:
+        return (
+            f"register step holds {registers} registers, more than the "
+            f"coverage step's {ceiling}"
+        )
+    return None
 
 
 def check_service(

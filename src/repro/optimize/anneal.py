@@ -55,7 +55,7 @@ from ..graphs.digraph import CircuitGraph, NodeKind
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
-from ..retiming.solve import solve_cut_retiming
+from ..retiming.solve import max_coverage_retiming
 from .engine import MoveEngine
 from .refine import (
     OptimizeResult,
@@ -120,7 +120,7 @@ def anneal_refine(
     ]
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts
-    solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
+    solution = max_coverage_retiming(graph, engine.cut_nets(), edges=edges)
     uncovered0 = len(solution.dropped_cuts)
     n_retimes = 1
     # nets the last exact solve proved free (covered or unconstrained);
@@ -184,7 +184,7 @@ def anneal_refine(
             else:
                 engine.undo(record)
         if step % checkpoint_every == 0 and step < n_steps:
-            solution = solve_cut_retiming(
+            solution = max_coverage_retiming(
                 graph, engine.cut_nets(), edges=edges
             )
             n_retimes += 1
@@ -211,7 +211,7 @@ def anneal_refine(
     # cost holds up against the seed's
     refined = engine.export_partition(best_snapshot, scc_index)
     final_cuts = refined.cut_nets()
-    final_solution = solve_cut_retiming(graph, final_cuts, edges=edges)
+    final_solution = max_coverage_retiming(graph, final_cuts, edges=edges)
     n_retimes += 1
     sigma_best = engine.sigma_of(best_snapshot)
     uncovered_best = len(final_solution.dropped_cuts)

@@ -22,7 +22,7 @@ budget is advisory; a slow host overshoots the wall clock instead of
 changing the answer.
 
 **Re-retiming contract.**  One exact solve
-(:func:`~repro.retiming.solve.solve_cut_retiming` with a precomputed
+(:func:`~repro.retiming.solve.max_coverage_retiming` with a precomputed
 ``register_weighted_edges`` list shared by every solve) runs at the
 start, at deterministic mid-run checkpoints the budget can afford
 (:func:`estimate_retime_seconds`), and once on the final best state, so

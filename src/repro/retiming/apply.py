@@ -48,7 +48,6 @@ class RetimedCircuit:
     """Result of :func:`apply_retiming`."""
 
     netlist: Netlist
-    rho: Dict[str, int]
     po_map: Dict[str, str]  # original PO name -> signal in retimed netlist
     n_registers_before: int
     n_registers_after: int
@@ -131,7 +130,6 @@ def apply_retiming(
     out.validate()
     return RetimedCircuit(
         netlist=out,
-        rho=dict(rho),
         po_map=po_map,
         n_registers_before=sum(1 for _ in netlist.dff_cells()),
         n_registers_after=sum(need.values()),

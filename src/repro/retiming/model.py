@@ -90,14 +90,15 @@ class Retiming:
                 f"({len(bad)} violating edge(s) total)"
             )
 
-    def total_registers(self) -> int:
-        """Registers in the retimed circuit, counted per weighted edge.
-
-        Note this counts shared fan-out chains once per branch; the
-        netlist-level applier shares chains, so the physical count can be
-        lower.  Used for invariant checks on linear pipelines.
-        """
-        return sum(self.weight(e) for e in self.edges)
+    def shared_registers(self) -> int:
+        """Registers after fan-out sharing, as ``apply_retiming`` emits
+        them: one chain per driver, as long as its longest retimed edge."""
+        longest: Dict[str, int] = {}
+        for e in self.edges:
+            w = self.weight(e)
+            if w > longest.get(e.tail, 0):
+                longest[e.tail] = w
+        return sum(longest.values())
 
     def shifted(self, delta: int) -> "Retiming":
         """Uniformly shifting ρ over *all* nodes leaves edge weights unchanged."""

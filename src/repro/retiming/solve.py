@@ -1,9 +1,13 @@
-"""Exact cut-net retiming: maximum register coverage as a min-cost flow.
+"""Exact cut-net retiming: maximum coverage, then the fewest registers.
 
 Given the cut nets chosen by the partitioner, we want a legal retiming
 that leaves **at least one register on as many cut nets as possible**:
 a covered cut's A_CELL reuses a functional DFF (0.9 DFF), an uncovered
-one keeps a MUXed A_CELL (2.3 DFF, §2.3/§4.2).
+one keeps a MUXed A_CELL (2.3 DFF, §2.3/§4.2).  That is the coverage
+step, :func:`max_coverage_retiming`, described below.  Among the lags
+that cover the same set, :func:`solve_cut_retiming` then takes the
+ones whose retimed netlist holds the fewest registers (the register
+step, :mod:`repro.retiming.registers`).
 
 **Formulation.**  With ``w_ρ(e) = w(e) + ρ(head) − ρ(tail)`` (Lemma 1),
 legality is the difference constraint ``ρ(tail) − ρ(head) ≤ w(e)`` on
@@ -45,7 +49,7 @@ requirement arcs end at ``u_N``).  The first round is then the plain
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
@@ -62,9 +66,12 @@ from ..graphs.digraph import CircuitGraph
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..perf import count as perf_count
 from .model import Retiming
+from .registers import fewest_register_lags
 
 __all__ = [
     "RetimingSolution",
+    "max_coverage_retiming",
+    "max_coverage_retiming_reference",
     "solve_cut_retiming",
     "solve_cut_retiming_reference",
     "bellman_ford_constraints",
@@ -73,14 +80,18 @@ __all__ = [
 
 @dataclass
 class RetimingSolution:
-    """Result of :func:`solve_cut_retiming`.
+    """Result of :func:`solve_cut_retiming` or :func:`max_coverage_retiming`.
 
     ``covered_cuts`` are cut nets the solved retiming *guarantees* a
     register on; ``dropped_cuts`` sat on register-starved cycles and
     keep their MUXed A_CELLs; ``unconstrained_cuts`` never generated a
     constraint at all (their net heads no register-weighted edge — e.g.
     dangling or mid-via-only nets), so the solver neither covered nor
-    dropped them.  ``iterations`` counts cycle-search rounds.
+    dropped them.  ``iterations`` counts the coverage step's
+    cycle-search rounds.  ``registers`` is the register step's count of
+    the registers ``apply_retiming`` emits under ``retiming`` (shared
+    fan-out chains, PO sinks included when the graph has them); the
+    coverage step alone leaves it ``None``.
     """
 
     retiming: Retiming
@@ -88,6 +99,7 @@ class RetimingSolution:
     dropped_cuts: Set[str]  # cut nets needing MUXed A_CELLs (2.3)
     iterations: int
     unconstrained_cuts: Set[str] = field(default_factory=set)
+    registers: Optional[int] = None
 
     @property
     def coverage(self) -> float:
@@ -167,6 +179,20 @@ class _Network:
         return self.n_rho + len(self.nets)
 
 
+def _io_names(graph: CircuitGraph, names: Sequence[str]) -> List[str]:
+    """The nodes ``pin_io`` ties to one Leiserson–Saxe host lag: every
+    primary input and virtual PO sink among ``names``."""
+    from ..graphs.build import is_po_node
+    from ..graphs.digraph import NodeKind
+
+    return [
+        name
+        for name in names
+        if is_po_node(name)
+        or (graph.has_node(name) and graph.kind(name) is NodeKind.INPUT)
+    ]
+
+
 def _network(
     graph: CircuitGraph,
     cut_set: Set[str],
@@ -189,18 +215,11 @@ def _network(
         arc(index[e.head], index[e.tail], e.weight)
     n_rho = len(names)
     if pin_io:
-        # Leiserson–Saxe host: every PI and virtual PO sink shares a lag
-        from ..graphs.build import is_po_node
-        from ..graphs.digraph import NodeKind
-
         host = n_rho
         n_rho += 1
-        for i, name in enumerate(names):
-            if is_po_node(name) or (
-                graph.has_node(name) and graph.kind(name) is NodeKind.INPUT
-            ):
-                arc(host, i, 0)
-                arc(i, host, 0)
+        for name in _io_names(graph, names):
+            arc(host, index[name], 0)
+            arc(index[name], host, 0)
     by_net: Dict[str, List[int]] = {}
     for i, e in enumerate(edges):
         if e.via_nets[0] in cut_set:
@@ -459,13 +478,14 @@ def _solve(
     )
 
 
-def solve_cut_retiming(
+def max_coverage_retiming(
     graph: CircuitGraph,
     cut_nets: Iterable[str],
     edges: Optional[Sequence[WeightedEdge]] = None,
     pin_io: bool = False,
 ) -> RetimingSolution:
-    """Find a legal retiming registering as many cut nets as possible.
+    """The coverage step: a legal retiming registering as many cut nets
+    as possible.
 
     Args:
         graph: the circuit graph (used to collapse registers into edge
@@ -484,12 +504,58 @@ def solve_cut_retiming(
         edge carrying a covered cut holds ≥ 1 register, and no legal
         retiming covers more cuts (with ``pin_io``: no I/O-pinned one).
         Cut nets that never generate a constraint are reported in
-        ``unconstrained_cuts``.
+        ``unconstrained_cuts``.  Callers that read only the split use
+        this step alone; its lags pull in more registers than covering
+        the same cuts needs.
 
     Raises:
         RetimingError: the edge list holds a negative-weight cycle.
     """
     return _solve(graph, cut_nets, edges, pin_io, _cancel_cycles)
+
+
+def max_coverage_retiming_reference(
+    graph: CircuitGraph,
+    cut_nets: Iterable[str],
+    edges: Optional[Sequence[WeightedEdge]] = None,
+    pin_io: bool = False,
+) -> RetimingSolution:
+    """Reference twin of :func:`max_coverage_retiming`.
+
+    Cancels cycles on the unfolded network, each found by the dense
+    :func:`bellman_ford_constraints`.  Lags and the covered, dropped and
+    unconstrained sets are bit-identical to the production solver; only
+    the round count may differ.
+    """
+    return _solve(graph, cut_nets, edges, pin_io, _cancel_cycles_dense)
+
+
+def solve_cut_retiming(
+    graph: CircuitGraph,
+    cut_nets: Iterable[str],
+    edges: Optional[Sequence[WeightedEdge]] = None,
+    pin_io: bool = False,
+) -> RetimingSolution:
+    """Maximum coverage, then the fewest registers that keep it.
+
+    Runs :func:`max_coverage_retiming`, then the register step
+    (:func:`~repro.retiming.registers.fewest_register_lags`) with the
+    covered set held fixed.  Arguments are
+    :func:`max_coverage_retiming`'s.
+
+    Returns:
+        The coverage step's covered, dropped and unconstrained split and
+        round count, with the canonical lags that minimise the
+        registers :func:`~repro.retiming.apply.apply_retiming` emits:
+        legal, ≥ 1 register on every requirement edge of each covered
+        cut, and honouring ``pin_io``.  ``registers`` holds that count.
+
+    Raises:
+        RetimingError: the edge list holds a negative-weight cycle.
+    """
+    return _fewest_registers(
+        graph, cut_nets, edges, pin_io, max_coverage_retiming
+    )
 
 
 def solve_cut_retiming_reference(
@@ -500,9 +566,32 @@ def solve_cut_retiming_reference(
 ) -> RetimingSolution:
     """Reference twin of :func:`solve_cut_retiming`.
 
-    Cancels cycles on the unfolded network, each found by the dense
-    :func:`bellman_ford_constraints`.  Lags and the covered, dropped and
-    unconstrained sets are bit-identical to the production solver; only
-    the round count may differ.
+    Runs the coverage step with :func:`max_coverage_retiming_reference`,
+    then the same register step.  Lags, ``registers`` and the covered,
+    dropped and unconstrained sets are bit-identical to the production
+    solver; only the round count may differ.
     """
-    return _solve(graph, cut_nets, edges, pin_io, _cancel_cycles_dense)
+    return _fewest_registers(
+        graph, cut_nets, edges, pin_io, max_coverage_retiming_reference
+    )
+
+
+def _fewest_registers(
+    graph: CircuitGraph,
+    cut_nets: Iterable[str],
+    edges: Optional[Sequence[WeightedEdge]],
+    pin_io: bool,
+    coverage_step: Callable[..., RetimingSolution],
+) -> RetimingSolution:
+    if edges is None:
+        edges = register_weighted_edges(graph)
+    coverage = coverage_step(graph, cut_nets, edges, pin_io)
+    names = list(coverage.retiming.rho)  # every edge endpoint, sorted
+    rho, registers = fewest_register_lags(
+        edges,
+        coverage.covered_cuts,
+        _io_names(graph, names) if pin_io else None,
+    )
+    retiming = Retiming(edges=coverage.retiming.edges, rho=rho)
+    retiming.assert_legal()
+    return replace(coverage, retiming=retiming, registers=registers)

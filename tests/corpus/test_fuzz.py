@@ -33,6 +33,21 @@ def test_checks_agree_on_seed_corpus_circuit():
     assert check_solvers(netlist) is None
 
 
+def test_solver_check_recounts_the_register_prediction(monkeypatch):
+    """A register step that mispredicts its own count is caught by the
+    recount from the edge list, not trusted."""
+    solve = fuzz.solve_cut_retiming
+
+    def off_by_one(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        solution.registers += 1
+        return solution
+
+    monkeypatch.setattr(fuzz, "solve_cut_retiming", off_by_one)
+    problem = check_solvers(load_corpus_circuit("corpus-ff400"))
+    assert problem is not None and "predicted" in problem
+
+
 def test_fingerprint_is_reproducible_and_order_normalized():
     netlist = load_corpus_circuit("corpus-ff400")
     a = pipeline_fingerprint(netlist, use_compiled=True)

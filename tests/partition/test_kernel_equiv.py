@@ -11,7 +11,7 @@ bundled benches and compare everything observable: the
 :func:`repro.corpus.fuzz.pipeline_fingerprint` the differential fuzzer
 compares, key by key.  Its reference side runs
 ``make_group(use_compiled=False)``, ``assign_cbit_reference`` and
-``solve_cut_retiming_reference``.
+``max_coverage_retiming_reference``.
 """
 
 import pytest

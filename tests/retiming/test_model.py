@@ -68,7 +68,13 @@ class TestRetimingObject:
         edges = [edge("a", "b", 3)]
         r = Retiming.identity(edges)
         assert r.legal()
-        assert r.total_registers() == 3
+        assert r.shared_registers() == 3
+
+    def test_shared_registers_count_one_chain_per_driver(self):
+        """a's readers share one chain as long as the longest needs."""
+        edges = (edge("a", "b", 3), edge("a", "c", 1), edge("b", "c", 0))
+        assert Retiming(edges=edges).shared_registers() == 3
+        assert Retiming(edges=edges, rho={"c": 4}).shared_registers() == 9
 
     def test_uniform_shift_invariant(self, ring_graph):
         edges = register_weighted_edges(ring_graph)

@@ -8,6 +8,8 @@ from repro.graphs.paths import WeightedEdge, register_weighted_edges
 from repro.netlist import GateType, Netlist, parse_bench
 from repro.retiming import (
     bellman_ford_constraints,
+    max_coverage_retiming,
+    max_coverage_retiming_reference,
     solve_cut_retiming,
     solve_cut_retiming_reference,
     verify_drop_set,
@@ -111,7 +113,7 @@ class TestCutRetiming:
     def test_unconstrained_matches_reference(self, pipeline):
         g = build_circuit_graph(pipeline, with_po_nodes=True)
         compiled = solve_cut_retiming(g, ["g1", "dangling_x"])
-        reference = solve_cut_retiming_reference(g, ["g1", "dangling_x"])
+        reference = max_coverage_retiming_reference(g, ["g1", "dangling_x"])
         assert compiled.unconstrained_cuts == reference.unconstrained_cuts
         assert compiled.covered_cuts == reference.covered_cuts
 
@@ -128,7 +130,12 @@ class TestExactCoverage:
             name="counterexample",
         )
         g = build_circuit_graph(nl, with_po_nodes=True)
-        for solve in (solve_cut_retiming, solve_cut_retiming_reference):
+        for solve in (
+            solve_cut_retiming,
+            solve_cut_retiming_reference,
+            max_coverage_retiming,
+            max_coverage_retiming_reference,
+        ):
             sol = solve(g, ["g0", "g1", "g2"])
             assert sol.covered_cuts == {"g0", "g1"}
             assert sol.dropped_cuts == {"g2"}
@@ -137,13 +144,19 @@ class TestExactCoverage:
     def test_reference_bit_identical(self, s27):
         g = build_circuit_graph(s27, with_po_nodes=True)
         cuts = sorted({e.via_nets[0] for e in register_weighted_edges(g)})
+        pairs = (
+            (max_coverage_retiming, max_coverage_retiming_reference),
+            (solve_cut_retiming, solve_cut_retiming_reference),
+        )
         for pin_io in (False, True):
-            sol = solve_cut_retiming(g, cuts, pin_io=pin_io)
-            ref = solve_cut_retiming_reference(g, cuts, pin_io=pin_io)
-            assert sol.retiming.rho == ref.retiming.rho
-            assert sol.covered_cuts == ref.covered_cuts
-            assert sol.dropped_cuts == ref.dropped_cuts
-            assert sol.unconstrained_cuts == ref.unconstrained_cuts
+            for solve, reference in pairs:
+                sol = solve(g, cuts, pin_io=pin_io)
+                ref = reference(g, cuts, pin_io=pin_io)
+                assert sol.retiming.rho == ref.retiming.rho
+                assert sol.registers == ref.registers
+                assert sol.covered_cuts == ref.covered_cuts
+                assert sol.dropped_cuts == ref.dropped_cuts
+                assert sol.unconstrained_cuts == ref.unconstrained_cuts
 
 
 class TestConvergenceGuard:
@@ -155,7 +168,11 @@ class TestConvergenceGuard:
             WeightedEdge("a", "b", -1, ("a",)),
             WeightedEdge("b", "a", 0, ("b",)),
         ]
-        for solve in (solve_cut_retiming, solve_cut_retiming_reference):
+        for solve in (
+            solve_cut_retiming,
+            solve_cut_retiming_reference,
+            max_coverage_retiming_reference,
+        ):
             with pytest.raises(RetimingError, match="did not converge"):
                 solve(None, ["a"], edges=edges)
 

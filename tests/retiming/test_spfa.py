@@ -1,6 +1,6 @@
 """The production solver's SPFA against the dense reference.
 
-Each cycle-cancelling round of :func:`solve_cut_retiming` is one
+Each cycle-cancelling round of :func:`max_coverage_retiming` is one
 :func:`_spfa` over the residual network.  Its contract: on a feasible
 system it lands on the same fixed point as
 :func:`bellman_ford_constraints` (the greatest one below the all-zero
