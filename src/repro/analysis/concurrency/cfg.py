@@ -43,7 +43,6 @@ __all__ = [
     "build_cfg",
     "expr_name",
     "is_lockish",
-    "scope_statements",
     "scope_nodes",
 ]
 
@@ -303,26 +302,6 @@ def build_cfg(func: ast.AST) -> CFG:
     else:
         builder.build(func.body)
     return builder.cfg
-
-
-def scope_statements(func: ast.AST) -> Iterator[ast.stmt]:
-    """Statements of ``func``'s own scope (no nested def/class bodies)."""
-    for stmt in getattr(func, "body", ()):
-        yield from _own_statements(stmt)
-
-
-def _own_statements(stmt: ast.stmt) -> Iterator[ast.stmt]:
-    yield stmt
-    if isinstance(
-        stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    ):
-        return  # separate scope
-    for block in ("body", "orelse", "finalbody"):
-        for child in getattr(stmt, block, ()):
-            yield from _own_statements(child)
-    for handler in getattr(stmt, "handlers", ()):
-        for child in handler.body:
-            yield from _own_statements(child)
 
 
 def scope_nodes(root: ast.AST) -> Iterator[ast.AST]:

@@ -182,17 +182,17 @@ class DiagnosticReport:
             f"warning(s), {len(self.infos)} info"
         )
 
-    def render_text(self, show_clean_rules: bool = True) -> str:
+    def render_text(self) -> str:
         """Multi-line human-readable report.
 
-        One line per finding, then (optionally) the catalog of rules that
-        ran with per-rule hit counts, so a report always names every rule
-        id it covered.
+        One line per finding, then the catalog of rules that ran with
+        per-rule hit counts, so a report always names every rule id it
+        covered.
         """
         lines = [f"lint report for {self.subject}: {self.summary()}"]
         for d in self.diagnostics:
             lines.append("  " + d.render())
-        if show_clean_rules and self.rules_checked:
+        if self.rules_checked:
             counts = self.counts_by_rule()
             lines.append(f"rules checked ({len(self.rules_checked)}):")
             for rule in self.rules_checked:
@@ -223,9 +223,9 @@ class DiagnosticReport:
             ],
         }
 
-    def render_json(self, indent: int = 2) -> str:
+    def render_json(self) -> str:
         """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def merge_reports(

@@ -27,6 +27,10 @@ from ..partition.clusters import Cluster, Partition, cluster_input_nets
 
 __all__ = ["AnnealingResult", "anneal_partition"]
 
+#: Geometric cooling schedule: start and end temperatures.
+_T_START = 5.0
+_T_END = 0.05
+
 
 @dataclass
 class AnnealingResult:
@@ -95,8 +99,6 @@ def anneal_partition(
     m: int,
     config: Optional[MercedConfig] = None,
     n_steps: int = 4000,
-    t_start: float = 5.0,
-    t_end: float = 0.05,
     scc_index: Optional[SCCIndex] = None,
 ) -> AnnealingResult:
     """Partition ``graph`` into ``m`` blocks by simulated annealing.
@@ -108,7 +110,8 @@ def anneal_partition(
             SA formulation of [4] fixes it up front — pass the flow
             result's partition count for a like-for-like comparison).
         config: supplies ``l_k`` and the RNG seed.
-        n_steps: annealing schedule length (geometric cooling).
+        n_steps: annealing schedule length (geometric cooling from
+            temperature 5.0 to 0.05).
 
     Returns:
         An :class:`AnnealingResult` whose partition may violate Eq. 5 if
@@ -126,8 +129,8 @@ def anneal_partition(
         raise PartitionError("graph has no assignable nodes")
     state = _State(graph, nodes, m, rng)
 
-    alpha = (t_end / t_start) ** (1.0 / max(1, n_steps - 1))
-    temp = t_start
+    alpha = (_T_END / _T_START) ** (1.0 / max(1, n_steps - 1))
+    temp = _T_START
     penalty = 2.0
     current = state.cost(config.lk, penalty)
     trace = [current]

@@ -12,12 +12,10 @@ gap (PET vs PPET) and the shared-hardware discount PET enjoys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ..cbit.assemble import CBITPlan
 from ..cbit.types import cbit_cost_for_inputs
 from ..partition.clusters import Partition
-from ..ppet.schedule import TestSchedule, schedule_pipes
+from ..ppet.schedule import schedule_pipes
 
 __all__ = ["PETComparison", "compare_pet_ppet"]
 
@@ -46,11 +44,7 @@ class PETComparison:
         return self.ppet_cbit_cost_dff / self.pet_tpg_cost_dff
 
 
-def compare_pet_ppet(
-    partition: Partition,
-    plan: CBITPlan,
-    schedule: Optional[TestSchedule] = None,
-) -> PETComparison:
+def compare_pet_ppet(partition: Partition, plan: CBITPlan) -> PETComparison:
     """Build the PET-vs-PPET time/hardware comparison for one partition.
 
     The PET side reuses the same segments (the paper's point: the
@@ -58,8 +52,7 @@ def compare_pet_ppet(
     generator/compactor pair sized for the widest segment, applied to the
     segments one after another.
     """
-    if schedule is None:
-        schedule = schedule_pipes(partition, plan)
+    schedule = schedule_pipes(partition, plan)
     pet_cycles = sum(a.testing_time for a in plan.assignments)
     widest = plan.widest()
     shared_cost, _ = cbit_cost_for_inputs(widest)

@@ -43,6 +43,10 @@ from .profiles import CircuitProfile, profile_by_name
 
 __all__ = ["generate_circuit", "generate_by_name", "resolve_seed"]
 
+#: Probability that :meth:`_Builder.pick` walks back from the newest
+#: pool entry instead of drawing uniformly.
+_RECENCY_BIAS = 0.6
+
 
 def resolve_seed(profile_name: str, seed: Optional[int]) -> int:
     """The single seed every RNG draw in one generation flows from.
@@ -100,12 +104,12 @@ class _Builder:
         self.read.add(data)
         return name
 
-    def pick(self, pool: Sequence[str], bias: float = 0.6) -> str:
+    def pick(self, pool: Sequence[str]) -> str:
         """Pick from ``pool`` with recency bias (later entries favoured)."""
         n = len(pool)
         if n == 1:
             return pool[0]
-        if self.rng.random() < bias:
+        if self.rng.random() < _RECENCY_BIAS:
             # geometric walk back from the most recent entry
             back = min(n - 1, int(self.rng.expovariate(1 / 6.0)))
             return pool[n - 1 - back]

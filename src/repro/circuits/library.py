@@ -10,7 +10,7 @@ used everywhere a generated circuit is.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional
+from typing import List
 
 from ..netlist.netlist import Netlist
 from .generator import generate_circuit
@@ -26,16 +26,16 @@ def available_circuits() -> List[str]:
 
 
 @lru_cache(maxsize=None)
-def _cached(name: str, seed: Optional[int]) -> Netlist:
+def _cached(name: str) -> Netlist:
     if name == "s27":
         return s27_netlist()
-    return generate_circuit(profile_by_name(name), seed=seed)
+    return generate_circuit(profile_by_name(name))
 
 
-def load_circuit(name: str, seed: Optional[int] = None) -> Netlist:
+def load_circuit(name: str) -> Netlist:
     """Load a benchmark circuit by name.
 
-    Results are cached per ``(name, seed)``; a defensive copy is returned
-    so callers may mutate freely.
+    Results are cached per name; a defensive copy is returned so callers
+    may mutate freely.
     """
-    return _cached(name, seed).copy()
+    return _cached(name).copy()

@@ -233,22 +233,20 @@ class CompilationArtifacts:
 
 
 def compile_circuit(
-    netlist,
-    config: Optional[MercedConfig] = None,
-    pin_io: bool = False,
+    netlist, config: Optional[MercedConfig] = None
 ) -> CompilationArtifacts:
     """One-call BIST compilation: partition, retime, emit hardware.
 
     Runs :meth:`Merced.run`, solves the cut retiming on the graph with
-    primary-output sinks, applies it, and inserts the test hardware
-    (A_CELLs, scan, PI/PO cells and dual-mode controls) on the
-    *original* netlist.  The retiming results are reported alongside,
-    so a flow can choose which netlist to take forward.
+    primary-output sinks (I/O lags free, no host condition), applies it,
+    and inserts the test hardware (A_CELLs, scan, PI/PO cells and
+    dual-mode controls) on the *original* netlist.  The retiming results
+    are reported alongside, so a flow can choose which netlist to take
+    forward.
 
     Args:
         netlist: the circuit to compile.
         config: Merced parameters.
-        pin_io: strict I/O-latency-preserving retiming (host condition).
 
     Raises:
         RetimingError: :func:`~repro.retiming.apply.apply_retiming`
@@ -272,9 +270,7 @@ def compile_circuit(
     with perf_stage("build_graph"):
         graph = build_circuit_graph(netlist, with_po_nodes=True)
     with perf_stage("solve_retiming"):
-        retiming = solve_cut_retiming(
-            graph, report.partition.cut_nets(), pin_io=pin_io
-        )
+        retiming = solve_cut_retiming(graph, report.partition.cut_nets())
     # The solution keeps only its edge list, so the PO-sink graph can go
     # before apply_retiming builds the (register-heavy) retimed netlist.
     del graph

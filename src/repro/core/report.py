@@ -19,12 +19,10 @@ __all__ = [
 ]
 
 
-def format_table(
-    headers: Sequence[str], rows: Iterable[Sequence], min_width: int = 6
-) -> str:
-    """Monospace table with right-aligned numeric columns."""
+def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Monospace table with right-aligned columns at least 6 wide."""
     rows = [[_fmt(v) for v in row] for row in rows]
-    widths = [max(min_width, len(h)) for h in headers]
+    widths = [max(6, len(h)) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))

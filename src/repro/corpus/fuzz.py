@@ -71,6 +71,9 @@ __all__ = [
 #: opt-in (needs a live ``merced serve`` thread).
 CHECKS: Tuple[str, ...] = ("scc", "pipeline", "solver", "service")
 
+#: Merced seed every check compiles with.
+_SEED = 1996
+
 
 # ---------------------------------------------------------------------------
 # fingerprints and checks — each returns None (agree) or a description
@@ -80,7 +83,6 @@ def pipeline_fingerprint(
     lk: int = 16,
     beta: int = 1,
     use_compiled: bool = True,
-    seed: int = 1996,
 ) -> Dict[str, object]:
     """Canonical observable state of one make_group → assign_cbit →
     max_coverage_retiming run.
@@ -92,7 +94,7 @@ def pipeline_fingerprint(
     """
     graph = build_circuit_graph(netlist, with_po_nodes=False)
     scc_index = SCCIndex(graph)
-    config = MercedConfig(seed=seed, lk=lk, beta=beta, min_visit=5)
+    config = MercedConfig(seed=_SEED, lk=lk, beta=beta, min_visit=5)
     group = make_group(
         graph, scc_index, config, strict=False, use_compiled=use_compiled
     )
@@ -174,7 +176,7 @@ def check_solvers(
 
     graph = build_circuit_graph(netlist, with_po_nodes=False)
     scc_index = SCCIndex(graph)
-    config = MercedConfig(seed=1996, lk=lk, beta=beta, min_visit=5)
+    config = MercedConfig(seed=_SEED, lk=lk, beta=beta, min_visit=5)
     group = make_group(graph, scc_index, config, strict=False)
     cuts = assign_cbit(group.partition).partition.cut_nets()
     edges = register_weighted_edges(graph)
@@ -202,11 +204,7 @@ def check_solvers(
 
 
 def check_service(
-    netlist: Netlist,
-    client,
-    lk: int = 16,
-    beta: int = 1,
-    seed: int = 1996,
+    netlist: Netlist, client, lk: int = 16, beta: int = 1
 ) -> Optional[str]:
     """Service vs inline ``Merced.run``: byte-identical payload JSON.
 
@@ -219,7 +217,7 @@ def check_service(
     from ..errors import ReproError
     from ..exec.task import merced_payload
 
-    config = MercedConfig(seed=seed, lk=lk, beta=beta)
+    config = MercedConfig(seed=_SEED, lk=lk, beta=beta)
     inline = None
     inline_error: Optional[str] = None
     try:
@@ -231,7 +229,7 @@ def check_service(
         bench=write_bench(netlist),
         lk=lk,
         beta=beta,
-        seed=seed,
+        seed=_SEED,
     )
     if not row.get("ok"):
         if inline_error is None:
@@ -286,6 +284,9 @@ def random_spec(
     )
 
 
+#: Regenerations :func:`shrink_spec` spends before it gives up.
+_SHRINK_ATTEMPTS = 64
+
 #: Knob-reduction moves tried (in order) by :func:`shrink_spec`.  Each
 #: maps a spec to a strictly "smaller" candidate, or None when already
 #: minimal along that axis.
@@ -317,18 +318,17 @@ _SHRINK_MOVES: Sequence[Callable[[CorpusSpec], Optional[CorpusSpec]]] = (
 def shrink_spec(
     spec: CorpusSpec,
     still_fails: Callable[[CorpusSpec], bool],
-    max_attempts: int = 64,
 ) -> CorpusSpec:
     """Greedy spec-level shrink: smallest spec that still fails.
 
     Repeatedly tries each reduction move; a candidate is kept when the
     check still fails on the regenerated circuit.  Stops at a fixpoint
-    or after ``max_attempts`` regenerations (shrinking is best-effort —
-    the unshrunk reproducer is still a reproducer).
+    or after 64 regenerations (shrinking is best-effort — the unshrunk
+    reproducer is still a reproducer).
     """
     attempts = 0
     progress = True
-    while progress and attempts < max_attempts:
+    while progress and attempts < _SHRINK_ATTEMPTS:
         progress = False
         for move in _SHRINK_MOVES:
             candidate = move(spec)
@@ -342,7 +342,7 @@ def shrink_spec(
             if failed:
                 spec = candidate
                 progress = True
-            if attempts >= max_attempts:
+            if attempts >= _SHRINK_ATTEMPTS:
                 break
     return spec
 

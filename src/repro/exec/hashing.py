@@ -106,7 +106,7 @@ def point_key_strict(point: SweepPoint, code: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def short_key(key: str, length: int = 12) -> str:
+def short_key(key: str) -> str:
     """Truncated display form of a :func:`point_key` digest.
 
     Used in service logs and response payloads where the full 64-char
@@ -116,4 +116,4 @@ def short_key(key: str, length: int = 12) -> str:
     >>> short_key("ab" * 32)
     'abababababab'
     """
-    return key[:length]
+    return key[:12]

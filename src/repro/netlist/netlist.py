@@ -191,17 +191,17 @@ class Netlist:
     # ------------------------------------------------------------------
     # validation & analysis
     # ------------------------------------------------------------------
-    def validate(self, require_outputs: bool = True) -> None:
+    def validate(self) -> None:
         """Check structural sanity; raise :class:`NetlistError` on problems.
 
         Checks: every cell input and primary output names a driven signal;
-        at least one primary input/output (if ``require_outputs``); and the
+        at least one primary input and one primary output; and the
         combinational core is acyclic (every feedback loop is broken by at
         least one DFF — the premise of the paper's synchronous model).
         """
         if not self._inputs:
             raise NetlistError(f"netlist {self.name!r} has no primary inputs")
-        if require_outputs and not self._outputs:
+        if not self._outputs:
             raise NetlistError(f"netlist {self.name!r} has no primary outputs")
         for cell in self._cells.values():
             for sig in cell.inputs:
@@ -315,9 +315,9 @@ class Netlist:
     # ------------------------------------------------------------------
     # copies
     # ------------------------------------------------------------------
-    def copy(self, name: Optional[str] = None) -> "Netlist":
+    def copy(self) -> "Netlist":
         """Deep-enough copy (cells are immutable, so sharing them is safe)."""
-        dup = Netlist(name or self.name)
+        dup = Netlist(self.name)
         dup._inputs = list(self._inputs)
         dup._input_set = set(self._input_set)
         dup._outputs = list(self._outputs)

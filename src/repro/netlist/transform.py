@@ -1,10 +1,11 @@
-"""Structural netlist edits used by retiming and test-hardware insertion.
+"""Structural netlist edits on the signal-centric model.
 
-These helpers keep the :class:`~repro.netlist.netlist.Netlist` consistent
-while registers are moved across combinational logic.  They operate on the
-signal-centric model: inserting a DFF on a net means introducing a fresh
-signal driven by the new DFF and retargeting (a subset of) the net's readers
-to it.
+Inserting a DFF on a net means introducing a fresh signal driven by the
+new DFF and retargeting (a subset of) the net's readers to it.
+Test-hardware insertion (:mod:`repro.cbit.insert`) names the signals it
+adds with :func:`fresh_signal_name`.  Nothing in the package calls the
+four DFF edits: :func:`repro.retiming.apply.apply_retiming` builds the
+retimed netlist anew instead of editing one in place.
 """
 
 from __future__ import annotations

@@ -25,11 +25,8 @@ Entry point: :func:`optimize_partition`, dispatching on
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..config import ConfigError, MercedConfig
 from ..graphs.digraph import CircuitGraph
-from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
 from .anneal import anneal_refine
@@ -57,7 +54,6 @@ def optimize_partition(
     partition: Partition,
     config: MercedConfig,
     name: str = "",
-    edges: Optional[Sequence[WeightedEdge]] = None,
     audit: bool = False,
 ) -> OptimizeResult:
     """Run the refinement variant selected by ``config.optimize``.
@@ -72,14 +68,4 @@ def optimize_partition(
             f"optimize_partition called with config.optimize="
             f"{config.optimize!r}; expected one of {sorted(_VARIANTS)}"
         )
-    if edges is None:
-        edges = register_weighted_edges(graph)
-    return variant(
-        graph,
-        scc_index,
-        partition,
-        config,
-        name=name,
-        edges=edges,
-        audit=audit,
-    )
+    return variant(graph, scc_index, partition, config, name=name, audit=audit)

@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..circuits.generator import resolve_seed
 from ..config import MercedConfig
 from ..graphs.digraph import CircuitGraph, NodeKind
-from ..graphs.paths import WeightedEdge, register_weighted_edges
+from ..graphs.paths import register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
 from ..retiming.solve import max_coverage_retiming
@@ -88,7 +88,6 @@ def anneal_refine(
     partition: Partition,
     config: MercedConfig,
     name: str = "",
-    edges: Optional[Sequence[WeightedEdge]] = None,
     audit: bool = False,
 ) -> OptimizeResult:
     """Refine ``partition`` by legality-checked simulated annealing.
@@ -102,14 +101,11 @@ def anneal_refine(
         name: circuit name, folded into the seed resolution so
             different circuits explore differently under the default
             seed.
-        edges: precomputed ``register_weighted_edges(graph)`` to reuse
-            (computed once here otherwise and shared by every re-solve).
         audit: run :meth:`MoveEngine.assert_consistent` after every
             accepted move (the property-test hook; quadratic, tests
             only).
     """
-    if edges is None:
-        edges = register_weighted_edges(graph)
+    edges = register_weighted_edges(graph)
     engine = MoveEngine(graph, scc_index, partition, beta=config.beta)
     rng = random.Random(resolve_seed(f"optimize:{name}", config.seed))
 

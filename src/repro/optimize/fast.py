@@ -19,11 +19,9 @@ uses, and the loop stops early once a full sweep keeps nothing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..config import MercedConfig
 from ..graphs.digraph import CircuitGraph, NodeKind
-from ..graphs.paths import WeightedEdge, register_weighted_edges
+from ..graphs.paths import register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
 from ..retiming.solve import max_coverage_retiming
@@ -39,7 +37,6 @@ def fast_refine(
     partition: Partition,
     config: MercedConfig,
     name: str = "",
-    edges: Optional[Sequence[WeightedEdge]] = None,
     audit: bool = False,
 ) -> OptimizeResult:
     """Greedy cut-absorption sweeps; strictly improving moves only.
@@ -49,8 +46,7 @@ def fast_refine(
     is unused — there is no RNG to seed).
     """
     del name  # no RNG in the fast tier
-    if edges is None:
-        edges = register_weighted_edges(graph)
+    edges = register_weighted_edges(graph)
     engine = MoveEngine(graph, scc_index, partition, beta=config.beta)
 
     sigma0 = engine.sigma

@@ -6,7 +6,6 @@ from .trace import (
     activate,
     clear_failed_stage,
     count,
-    current_stage,
     current_trace,
     deactivate,
     failed_stage,
@@ -20,7 +19,6 @@ __all__ = [
     "activate",
     "clear_failed_stage",
     "count",
-    "current_stage",
     "current_trace",
     "deactivate",
     "failed_stage",

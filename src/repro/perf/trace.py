@@ -56,7 +56,6 @@ __all__ = [
     "profiled",
     "stage",
     "count",
-    "current_stage",
     "failed_stage",
     "clear_failed_stage",
 ]
@@ -171,9 +170,9 @@ class PerfTrace:
             "meta": dict(self.meta),
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        return json.dumps(self.to_dict(), indent=2)
 
     def write(self, path) -> None:
         """Write the JSON trace to ``path``."""
@@ -335,31 +334,23 @@ def profiled(label: str = "") -> Iterator[PerfTrace]:
         _ACTIVE = prev
 
 
-#: Per-thread stage bookkeeping (maintained even with no trace active,
-#: so failure attribution works on untraced runs).  Thread-local because
+#: Per-thread failure latch (maintained even with no trace active, so
+#: failure attribution works on untraced runs).  Thread-local because
 #: the compile service runs sweep attempts on concurrent executor
-#: threads — a shared stack would let one request's unwind steal
+#: threads — a shared latch would let one request's unwind steal
 #: another's failure attribution.
 _STAGE_STATE = threading.local()
-
-
-def _stage_stack() -> List[str]:
-    stack = getattr(_STAGE_STATE, "stack", None)
-    if stack is None:
-        stack = _STAGE_STATE.stack = []
-    return stack
 
 
 @contextmanager
 def stage(name: str) -> Iterator[None]:
     """Time a stage on the active trace; no-op when tracing is off.
 
-    Independently of tracing, the stage name is pushed on a per-thread
-    stack so an exception escaping the block latches the *innermost*
-    failing stage (readable via :func:`failed_stage`).  The sweep farm
-    uses this to attribute worker failures to a pipeline stage.
+    Independently of tracing, an exception escaping the block latches
+    the *innermost* failing stage (readable via :func:`failed_stage`):
+    the innermost frame unwinds first.  The sweep farm uses this to
+    attribute worker failures to a pipeline stage.
     """
-    _stage_stack().append(name)
     try:
         trace = _ACTIVE
         if trace is None:
@@ -371,14 +362,6 @@ def stage(name: str) -> Iterator[None]:
         if getattr(_STAGE_STATE, "failed", None) is None:
             _STAGE_STATE.failed = name
         raise
-    finally:
-        _stage_stack().pop()
-
-
-def current_stage() -> Optional[str]:
-    """Name of the innermost open :func:`stage` block, or ``None``."""
-    stack = _stage_stack()
-    return stack[-1] if stack else None
 
 
 def failed_stage() -> Optional[str]:
@@ -387,7 +370,7 @@ def failed_stage() -> Optional[str]:
     Latched on the first unwinding :func:`stage` frame and sticky until
     :func:`clear_failed_stage` — callers clear before the attempt and
     read after catching, so nested stages report the deepest frame.
-    Both the latch and the stage stack are per-thread.
+    The latch is per-thread.
     """
     return getattr(_STAGE_STATE, "failed", None)
 

@@ -53,9 +53,7 @@ def exhaustive_words(signals: Sequence[str]) -> Tuple[Dict[str, int], int]:
     return words, total
 
 
-def lfsr_order_words(
-    signals: Sequence[str], seed: int = 1
-) -> Tuple[Dict[str, int], int]:
+def lfsr_order_words(signals: Sequence[str]) -> Tuple[Dict[str, int], int]:
     """All ``2^n`` patterns in the emission order of a complete LFSR.
 
     This is the order a width-``n`` CBIT actually drives the CUT with;
@@ -71,7 +69,7 @@ def lfsr_order_words(
             f"{n} inputs exceed the in-memory exhaustive cap "
             f"({MAX_EXHAUSTIVE_INPUTS})"
         )
-    lfsr = LFSR(n, seed=seed, complete=True)
+    lfsr = LFSR(n)
     total = 1 << n
     words = {sig: 0 for sig in signals}
     for t in range(total):

@@ -38,22 +38,21 @@ __all__ = [
 def fault_detectability(
     netlist: Netlist,
     fault: StuckAtFault,
-    observe: Optional[Sequence[str]] = None,
     simulator: Optional[CombSimulator] = None,
 ) -> float:
     """Exact detectability ``d_f``: detecting patterns / 2^ι.
 
     Evaluates the full exhaustive space (the circuit must be within the
-    in-memory cap of :func:`repro.ppet.patterns.exhaustive_words`).
+    in-memory cap of :func:`repro.ppet.patterns.exhaustive_words`) and
+    observes the primary outputs.
     """
     sim = simulator or CombSimulator(netlist)
-    observe = tuple(observe if observe is not None else netlist.outputs)
     signals = list(sim.pseudo_inputs)
     words, n = exhaustive_words(signals)
     good = sim.run(words, n)
     bad = sim.run(words, n, faults=fault_masks(fault, n))
     diff = 0
-    for o in observe:
+    for o in netlist.outputs:
         diff |= good[o] ^ bad[o]
     return bin(diff).count("1") / n
 
@@ -86,16 +85,13 @@ class DetectabilityProfile:
 
 
 def detectability_profile(
-    netlist: Netlist,
-    faults: Sequence[StuckAtFault],
-    observe: Optional[Sequence[str]] = None,
+    netlist: Netlist, faults: Sequence[StuckAtFault]
 ) -> DetectabilityProfile:
     """Exact per-fault detectabilities over the exhaustive space."""
     sim = CombSimulator(netlist)
     return DetectabilityProfile(
         detectabilities={
-            f: fault_detectability(netlist, f, observe=observe, simulator=sim)
-            for f in faults
+            f: fault_detectability(netlist, f, simulator=sim) for f in faults
         }
     )
 
@@ -104,20 +100,19 @@ def random_coverage_curve(
     netlist: Netlist,
     faults: Sequence[StuckAtFault],
     lengths: Sequence[int],
-    observe: Optional[Sequence[str]] = None,
     seed: Optional[int] = 0,
 ) -> List[Tuple[int, float]]:
     """Measured coverage after ``L`` uniform random patterns, per ``L``.
 
     One growing random session is simulated (prefix property: the
     coverage at each length reuses the same pattern stream), mirroring a
-    random-BIST run.
+    random-BIST run, and the primary outputs are observed.
     """
     if not lengths:
         return []
     rng = random.Random(seed)
     sim = CombSimulator(netlist)
-    observe = tuple(observe if observe is not None else netlist.outputs)
+    observe = tuple(netlist.outputs)
     total = max(lengths)
     words = {pi: rng.getrandbits(total) for pi in sim.pseudo_inputs}
     good = sim.run(words, total)

@@ -31,7 +31,7 @@ from ..sim.bitparallel import (
     replicate_word,
 )
 from ..sim.logicsim import CombSimulator
-from .patterns import exhaustive_words, lfsr_order_words
+from .patterns import lfsr_order_words
 from .scan import ScanChain, build_scan_chain
 from .schedule import TestSchedule, schedule_pipes
 from .signature import SignatureVerdict, compact_signature
@@ -153,13 +153,11 @@ class PPETSession:
         partition: Partition,
         plan: Optional[CBITPlan] = None,
         max_sim_inputs: int = 16,
-        use_lfsr_order: bool = True,
     ):
         self.netlist = netlist
         self.partition = partition
         self.plan = plan or assemble_cbits(partition)
         self.max_sim_inputs = max_sim_inputs
-        self.use_lfsr_order = use_lfsr_order
         self.scan_chain = build_scan_chain(self.plan)
 
     # ------------------------------------------------------------------
@@ -167,25 +165,11 @@ class PPETSession:
         """Pseudo-exhaustively test one cluster and grade its faults."""
         cut = extract_cut(self.partition, cluster, self.netlist)
         signals = list(cut.inputs)
-        truncated = False
-        if len(signals) > self.max_sim_inputs:
-            # cap the simulated space; hardware would run the full 2^ι
-            signals_full = signals
-            truncated = True
-            gen_signals = signals_full[: self.max_sim_inputs]
-            words, n_patterns = (
-                lfsr_order_words(gen_signals)
-                if self.use_lfsr_order and len(gen_signals) >= 2
-                else exhaustive_words(gen_signals)
-            )
-            for extra in signals_full[self.max_sim_inputs:]:
-                words[extra] = 0
-        else:
-            words, n_patterns = (
-                lfsr_order_words(signals)
-                if self.use_lfsr_order and len(signals) >= 2
-                else exhaustive_words(signals)
-            )
+        # cap the simulated space; hardware would run the full 2^ι
+        truncated = len(signals) > self.max_sim_inputs
+        words, n_patterns = lfsr_order_words(signals[: self.max_sim_inputs])
+        for extra in signals[self.max_sim_inputs:]:
+            words[extra] = 0
         sim = CombSimulator(cut)
         observe = tuple(cut.outputs)
         good = sim.run(words, n_patterns)

@@ -41,7 +41,6 @@ def compact_signature(
     observe: Sequence[str],
     n_patterns: int,
     width: Optional[int] = None,
-    seed: int = 0,
 ) -> int:
     """MISR signature of a simulated response block.
 
@@ -59,7 +58,7 @@ def compact_signature(
     if not observe:
         raise CBITError("cannot compact an empty observation set")
     width = width or max(2, len(observe))
-    misr = MISR(width, seed=seed)
+    misr = MISR(width)
     mask = (1 << width) - 1
     for word in response_words_to_stream(values, observe, n_patterns):
         folded = 0

@@ -31,6 +31,10 @@ __all__ = [
     "run_structural_pipes",
 ]
 
+#: Register state every pipe of :func:`run_structural_pipes` starts from:
+#: bit ``i`` seeds ``bist.chain_order[i]``.
+_PIPE_SEED_STATE = 0b1011011011011011
+
 
 @dataclass(frozen=True)
 class StructuralSignatures:
@@ -165,19 +169,18 @@ def run_structural_pipes(
     bist: BISTCircuit,
     schedule,
     faults: Sequence[StuckAtFault] = (),
-    cycles_per_pipe: Optional[int] = None,
-    pi_values: Optional[Mapping[str, int]] = None,
-    seed_state: int = 0b1011011011011011,
 ) -> StructuralSelfTest:
     """Run the paper's test pipes through the emitted dual-mode netlist.
 
     Requires a BIST netlist built with ``dual_mode_controls=True``.  For
     each pipe of ``schedule`` (a :class:`repro.ppet.schedule.TestSchedule`)
-    the TPG chains' ``psa_en`` inputs are driven 0 (pure LFSR generation)
-    and all others 1 (signature compaction), the machine is clocked for
-    ``2^(widest active chain)`` cycles (or ``cycles_per_pipe``), and the
-    PSA signatures are collected.  A fault is detected when any PSA-role
-    signature differs from the fault-free run in any pipe.
+    the chain registers start from :data:`_PIPE_SEED_STATE`, the
+    functional primary inputs are held at 0, the TPG chains' ``psa_en``
+    inputs are driven 0 (pure LFSR generation) and all others 1
+    (signature compaction), the machine is clocked for
+    ``2^(widest active chain)`` cycles, and the PSA signatures are
+    collected.  A fault is detected when any PSA-role signature differs
+    from the fault-free run in any pipe.
     """
     nl = bist.netlist
     chain_ids = sorted(bist.cbit_chains)
@@ -190,8 +193,6 @@ def run_structural_pipes(
             )
 
     base = {pi: 0 for pi in nl.inputs}
-    if pi_values:
-        base.update(pi_values)
     base[TEST_MODE] = 1
     if bist.has_scan:
         base[SCAN_EN] = 0
@@ -206,7 +207,7 @@ def run_structural_pipes(
             ),
             default=1,
         )
-        return cycles_per_pipe or (1 << widest)
+        return 1 << widest
 
     def run_lanes(
         n_lanes: int, mask_faults: Optional[Dict[str, tuple]]
@@ -220,7 +221,7 @@ def run_structural_pipes(
             sim = SequentialSimulator(nl)
             sim.reset(
                 {
-                    q: ((seed_state >> i) & 1) * ones
+                    q: ((_PIPE_SEED_STATE >> i) & 1) * ones
                     for i, q in enumerate(bist.chain_order)
                 }
             )

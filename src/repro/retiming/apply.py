@@ -11,7 +11,7 @@ high-fanout gate can *reduce* total register count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..errors import IllegalRetimingError, RetimingError
 from ..graphs.build import PO_NODE_PREFIX
@@ -53,11 +53,7 @@ class RetimedCircuit:
     n_registers_after: int
 
 
-def apply_retiming(
-    netlist: Netlist,
-    rho: Mapping[str, int],
-    name: Optional[str] = None,
-) -> RetimedCircuit:
+def apply_retiming(netlist: Netlist, rho: Mapping[str, int]) -> RetimedCircuit:
     """Build the retimed version of ``netlist`` under ``ρ``.
 
     ``ρ`` keys are combinational cell names, primary input names, and
@@ -70,7 +66,7 @@ def apply_retiming(
         IllegalRetimingError: some connection's register count would go
             negative (Corollary 3 violated).
     """
-    out = Netlist(name or f"{netlist.name}_retimed")
+    out = Netlist(f"{netlist.name}_retimed")
     for pi in netlist.inputs:
         out.add_input(pi)
 

@@ -6,8 +6,8 @@ equivalent to the original from clock 0.  Touati/Brayton solve this by
 backward justification; here we provide:
 
 * :func:`check_equivalence` — probabilistic black-box equivalence of two
-  (netlist, state) pairs under common random stimuli, with an optional
-  latency ``skip`` (registers added on I/O paths shift outputs in time);
+  (netlist, state) pairs under common random stimuli, compared clock by
+  clock from clock 0;
 * :func:`find_equivalent_initial_state` — exact search over the retimed
   register values for small register counts (exhaustive), falling back to
   random probing; returns the first state passing the equivalence probe.
@@ -20,13 +20,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..errors import RetimingError
 from ..netlist.netlist import Netlist
 from ..sim.seqsim import SequentialSimulator, random_input_sequence
 
 __all__ = ["check_equivalence", "find_equivalent_initial_state"]
+
+#: Register counts up to this are searched exhaustively (``2^R`` probes).
+_MAX_EXHAUSTIVE_REGISTERS = 14
+#: Random assignments drawn when there are more registers than that.
+_RANDOM_PROBES = 256
 
 
 def check_equivalence(
@@ -36,9 +41,6 @@ def check_equivalence(
     retimed_state: Mapping[str, int],
     n_steps: int = 12,
     n_sequences: int = 4,
-    seed: Optional[int] = 0,
-    skip: int = 0,
-    latency: int = 0,
 ) -> bool:
     """Probe behavioural equivalence under common random input sequences.
 
@@ -47,20 +49,14 @@ def check_equivalence(
     original's via their names when equal, otherwise positionally.  This
     is a Monte-Carlo check — it can accept a wrong state with probability
     shrinking in ``n_steps × n_sequences``, never reject a right one.
-
-    Args:
-        skip: ignore the first clocks of both traces.
-        latency: clocks by which the *retimed* outputs lag the originals
-            (registers added on output paths shift the trace in time);
-            negative values mean the retimed circuit leads.
     """
     if set(original.inputs) != set(retimed.inputs):
         raise RetimingError("netlists have different primary inputs")
-    if abs(latency) >= n_steps:
-        raise RetimingError("latency must be smaller than n_steps")
+    if n_steps < 1:
+        raise RetimingError("n_steps must be positive")
     sim_a = SequentialSimulator(original)
     sim_b = SequentialSimulator(retimed)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(n_sequences):
         seq = random_input_sequence(original, n_steps, seed=rng.randrange(1 << 30))
         trace_a = sim_a.run(seq, state=original_state)
@@ -69,13 +65,7 @@ def check_equivalence(
             raise RetimingError(
                 "netlists expose different primary output counts"
             )
-        if latency >= 0:
-            aligned_a = trace_a[: len(trace_a) - latency]
-            aligned_b = trace_b[latency:]
-        else:
-            aligned_a = trace_a[-latency:]
-            aligned_b = trace_b[: len(trace_b) + latency]
-        if aligned_a[skip:] != aligned_b[skip:]:
+        if trace_a != trace_b:
             return False
     return True
 
@@ -83,21 +73,15 @@ def check_equivalence(
 def find_equivalent_initial_state(
     original: Netlist,
     retimed: Netlist,
-    original_state: Optional[Mapping[str, int]] = None,
-    max_exhaustive_registers: int = 14,
-    n_random_probes: int = 256,
     n_steps: int = 10,
     n_sequences: int = 3,
-    seed: Optional[int] = 0,
-    skip: int = 0,
-    latency: int = 0,
 ) -> Dict[str, int]:
     """Search an initial state of ``retimed`` equivalent to the original.
 
-    Strategy: try all-zero first (free reset); then exhaust the
-    ``2^R`` register assignments when ``R ≤ max_exhaustive_registers``;
-    otherwise draw random assignments.  Every candidate is screened with
-    :func:`check_equivalence`.
+    The original starts from the all-zero state.  Strategy: try all-zero
+    first (free reset); then exhaust the ``2^R`` register assignments
+    when ``R ≤ 14``; otherwise draw 256 random assignments.  Every
+    candidate is screened with :func:`check_equivalence`.
 
     Returns:
         A register-state dict for ``retimed``.
@@ -107,35 +91,31 @@ def find_equivalent_initial_state(
             moves crossed unjustifiable logic; add reset circuitry (the
             paper's suggestion) or recompute states per Touati/Brayton.
     """
-    original_state = dict(original_state or {})
     regs = sorted(c.output for c in retimed.dff_cells())
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def probe(bits: Tuple[int, ...]) -> bool:
         state = dict(zip(regs, bits))
         return check_equivalence(
             original,
-            original_state,
+            {},
             retimed,
             state,
             n_steps=n_steps,
             n_sequences=n_sequences,
-            seed=seed,
-            skip=skip,
-            latency=latency,
         )
 
     zero = tuple(0 for _ in regs)
     if probe(zero):
         return dict(zip(regs, zero))
-    if len(regs) <= max_exhaustive_registers:
+    if len(regs) <= _MAX_EXHAUSTIVE_REGISTERS:
         for bits in itertools.product((0, 1), repeat=len(regs)):
             if bits == zero:
                 continue
             if probe(bits):
                 return dict(zip(regs, bits))
     else:
-        for _ in range(n_random_probes):
+        for _ in range(_RANDOM_PROBES):
             bits = tuple(rng.randint(0, 1) for _ in regs)
             if probe(bits):
                 return dict(zip(regs, bits))

@@ -200,10 +200,10 @@ class ServiceMetrics:
             "watchdog_missed": 0,
         }
 
-    def bump(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to counter ``name``."""
+    def bump(self, name: str) -> None:
+        """Add one to counter ``name``."""
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + n
+            self.counters[name] = self.counters.get(name, 0) + 1
 
     def observe_latency(self, name: str, seconds: float) -> None:
         """Record one latency sample on histogram ``name``."""
@@ -309,7 +309,17 @@ def parse_submission(
     deadline_s = default_timeout
     requested = submission.get("timeout")
     if requested is not None:
-        requested = float(requested)
+        if isinstance(requested, bool) or not isinstance(
+            requested, (int, float)
+        ):
+            raise ValueError(
+                f"timeout must be a number of seconds, got "
+                f"{type(requested).__name__} {requested!r}"
+            )
+        try:
+            requested = float(requested)
+        except OverflowError:  # an int beyond the float range
+            requested = math.inf
         if not (math.isfinite(requested) and requested > 0):
             raise ValueError(
                 f"timeout must be positive and finite, got {requested}"
@@ -836,7 +846,7 @@ class CompileService:
             "circuit": point.circuit,
             "degraded": "lint_only",
             "coalesced": False,
-            "error": "degraded under load: lint-only analysis, no compile",
+            "error": "lint-only analysis as the client asked, no compile",
             "error_type": "DegradedAnswer",
             "lint": lint,
         }, None

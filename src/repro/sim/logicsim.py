@@ -13,7 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from ..errors import SimulationError
 from ..netlist.gates import GATE_EVALUATORS
 from ..netlist.netlist import Netlist
-from .levelize import LevelizedCircuit, levelize
+from .levelize import levelize
 
 __all__ = ["CombSimulator", "ScalarSimulator", "pack_patterns", "unpack_word"]
 
@@ -46,9 +46,9 @@ class CombSimulator:
     a circuit segment.
     """
 
-    def __init__(self, netlist: Netlist, levelized: Optional[LevelizedCircuit] = None):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.levelized = levelized or levelize(netlist)
+        self.levelized = levelize(netlist)
         self._pseudo_inputs = tuple(netlist.inputs) + tuple(
             c.output for c in netlist.dff_cells()
         )
@@ -116,9 +116,9 @@ class ScalarSimulator:
     should use :class:`CombSimulator`.
     """
 
-    def __init__(self, netlist: Netlist, levelized: Optional[LevelizedCircuit] = None):
+    def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.levelized = levelized or levelize(netlist)
+        self.levelized = levelize(netlist)
         self._pseudo_inputs = tuple(netlist.inputs) + tuple(
             c.output for c in netlist.dff_cells()
         )

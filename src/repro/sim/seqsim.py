@@ -88,13 +88,12 @@ class SequentialSimulator:
 
 
 def random_input_sequence(
-    netlist: Netlist, n_steps: int, seed: Optional[int] = None, n_patterns: int = 1
+    netlist: Netlist, n_steps: int, seed: Optional[int] = None
 ) -> List[Dict[str, int]]:
-    """Uniform random per-clock input words for ``netlist``."""
+    """Uniform random per-clock input bits for ``netlist``."""
     rng = random.Random(seed)
-    mask = (1 << n_patterns) - 1
     return [
-        {pi: rng.randint(0, mask) for pi in netlist.inputs}
+        {pi: rng.randint(0, 1) for pi in netlist.inputs}
         for _ in range(n_steps)
     ]
 

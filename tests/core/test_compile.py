@@ -42,11 +42,3 @@ class TestCompile:
         assert "retiming:" in text
         assert "exact Table 12:" in text
         assert "BIST netlist:" in text
-
-    def test_pin_io_covers_no_more_than_free(self, arts):
-        pinned = compile_circuit(
-            load_circuit("s27"), MercedConfig(lk=3, seed=7), pin_io=True
-        )
-        assert len(pinned.retiming.covered_cuts) <= len(
-            arts.retiming.covered_cuts
-        )

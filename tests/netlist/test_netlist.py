@@ -107,12 +107,11 @@ class TestValidation:
         with pytest.raises(NetlistError, match="no primary inputs"):
             nl.validate()
 
-    def test_outputs_optional_when_requested(self):
+    def test_no_outputs_detected(self):
         nl = Netlist("noout")
         nl.add_input("a")
         nl.add_gate("g", GateType.NOT, ["a"])
-        nl.validate(require_outputs=False)
-        with pytest.raises(NetlistError):
+        with pytest.raises(NetlistError, match="no primary outputs"):
             nl.validate()
 
     def test_combinational_cycle_detected(self):
@@ -166,8 +165,8 @@ class TestStats:
         assert len(row) == 6
 
     def test_copy_is_independent(self, toy):
-        dup = toy.copy("dup")
+        dup = toy.copy()
         dup.add_gate("extra", GateType.NOT, ["a"])
         assert "extra" in dup
         assert "extra" not in toy
-        assert dup.name == "dup"
+        assert dup.name == toy.name

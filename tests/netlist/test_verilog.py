@@ -31,9 +31,6 @@ class TestBasicShape:
         assert "clk" not in text
         assert "always" not in text
 
-    def test_module_name_override(self, s27):
-        assert "module dut (" in write_verilog(s27, module_name="dut")
-
 
 class TestOperators:
     @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ class TestInferRetiming:
 
     def test_changed_cycle_count_rejected(self, ring):
         """Adding a register to a cycle is not a retiming (Corollary 2)."""
-        fake = ring.copy("fake")
+        fake = ring.copy()
         cell = fake.cell("g1")
         fake.remove_cell("g1")
         fake.add_dff("extra", "q2")

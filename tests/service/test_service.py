@@ -398,6 +398,7 @@ def test_lint_only_answers_without_admitting_or_executing(boot):
     assert row["ok"] is False
     assert row["degraded"] == "lint_only"
     assert row["error_type"] == "DegradedAnswer"
+    assert row["error"] == "lint-only analysis as the client asked, no compile"
     assert "summary" in row["lint"]
     counters = client.metrics()["counters"]
     assert counters["lint_only_served"] == 1
@@ -580,12 +581,25 @@ def test_unknown_mode_is_400(boot, mode):
     assert "unknown mode" in err.value.payload["error"]
 
 
-@pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
-def test_nonpositive_timeout_is_400(boot, timeout):
+@pytest.mark.parametrize(
+    "timeout",
+    [
+        -1.0,
+        float("nan"),
+        float("inf"),
+        pytest.param(10**400, id="int-beyond-float"),
+        True,
+        False,
+        "5",
+    ],
+)
+def test_nonpositive_or_non_number_timeout_is_400(boot, timeout):
     _, client = boot()
     with pytest.raises(ServiceRejectedError) as err:
         client.compile_point(circuit="s27", timeout=timeout)
     assert err.value.status == 400
+    if isinstance(timeout, (bool, str)):
+        assert type(timeout).__name__ in err.value.payload["error"]
     counters = client.metrics()["counters"]
     assert counters["admitted"] == 0 and counters["watchdog_missed"] == 0
 

@@ -41,7 +41,7 @@ def random_patterns(sim, n, seed):
 def assert_gate_for_gate(netlist, patterns, faults=None):
     """Every signal of every pattern matches between the two engines."""
     scalar = ScalarSimulator(netlist)
-    parallel = CombSimulator(netlist, levelized=scalar.levelized)
+    parallel = CombSimulator(netlist)
     n = len(patterns)
     mask = (1 << n) - 1
     words = pack_patterns(patterns, scalar.pseudo_inputs)
@@ -126,7 +126,7 @@ class TestRandomCircuits:
         """
         netlist = generate_circuit(profile, seed=7)
         scalar = ScalarSimulator(netlist)
-        parallel = CombSimulator(netlist, levelized=scalar.levelized)
+        parallel = CombSimulator(netlist)
         n_patterns = 6
         patterns = random_patterns(scalar, n_patterns, seed)
         words = pack_patterns(patterns, scalar.pseudo_inputs)
