@@ -41,9 +41,9 @@ wall-clock timers and hot-path counters (Dijkstra runs, relaxations,
 flow injections, merge gain evaluations, nets cut, faults graded) to
 `FILE`, or to stdout when no file is given; combined with `--selftest`
 the PPET session is traced too, and with `--retime` the retiming
-counters (`bf_relaxations` and `retiming_rounds` for the coverage step,
-`register_pivots`, `register_relaxations` and the predicted
-`retimed_registers` for the register step). Programmatically, wrap any code in
+counters (`area_steps`, `area_paths` and the predicted
+`retimed_registers` for the least-area solve; `bf_relaxations` and
+`retiming_rounds` where the coverage step runs). Programmatically, wrap any code in
 `repro.perf.profiled(label)` to get a `PerfTrace`, or call
 `activate`/`deactivate` for explicit control; `repro.perf.stage(name)`
 and `repro.perf.count(name, n)` are the no-op-when-inactive probes the

@@ -8,7 +8,7 @@ bound ``l_k`` defaults to 16 (CBIT type d4).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .errors import ConfigError
@@ -82,18 +82,25 @@ class MercedConfig:
         for name in ("seed", "max_sources"):
             if getattr(self, name) is not None:
                 _check_type(name, getattr(self, name), (int,))
+        # NaN passes every ordered comparison below (and inf the lower
+        # bounds), and an int past the float range raises OverflowError
+        # wherever the flow meets it, so each of these must convert to
+        # a finite float.
         for name in ("delta", "alpha", "cap", "optimize_budget"):
-            _check_type(name, getattr(self, name), (int, float))
+            value = getattr(self, name)
+            _check_type(name, value, (int, float))
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"{name} must be a finite float, got {value!r:.40}"
+                )
         if not isinstance(self.merge_clusters, bool):
             raise ConfigError(
                 f"merge_clusters must be a bool, got {self.merge_clusters!r}"
             )
-        # NaN passes every ordered comparison below (and inf the lower
-        # bounds), so non-finite numbers are rejected up front.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.lk < 1:
             raise ConfigError(f"lk must be positive, got {self.lk}")
         if self.delta <= 0:

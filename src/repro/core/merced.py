@@ -202,9 +202,9 @@ class CompilationArtifacts:
     def exact_area(self) -> CBITAreaComparison:
         """The Table 12 row with the exact retimability of this solve.
 
-        A covered cut shares a retimed functional DFF and an
-        unconstrained one needs no register move, so both take the
-        retimed A_CELL rate; the report's own row keeps the paper's
+        A cut the emitted solve covers shares a retimed functional DFF
+        and an unconstrained one needs no register move, so both take
+        the retimed A_CELL rate; the report's own row keeps the paper's
         per-SCC count.
         """
         return replace(
@@ -214,15 +214,26 @@ class CompilationArtifacts:
         )
 
     def summary(self) -> str:
-        """The report, the retiming line and the emitted netlist line."""
+        """The report, the retiming line and the emitted netlist line.
+
+        The retiming line ends with the area the retiming controls, the
+        objective :func:`~repro.retiming.solve.solve_cut_retiming`
+        minimises: 10 units per register after fan-out sharing plus 14
+        per dropped cut.
+        """
+        from ..retiming.registers import emitted_area
+
         retiming, area = self.retiming, self.exact_area
+        units = emitted_area(
+            self.retimed.n_registers_after, len(retiming.dropped_cuts)
+        )
         return "\n".join([
             self.report.render(),
             f"retiming: {len(retiming.covered_cuts)} cut(s) covered by "
             f"functional DFFs, {len(retiming.dropped_cuts)} need MUXed "
             f"A_CELLs, {len(retiming.unconstrained_cuts)} unconstrained; "
             f"registers {self.retimed.n_registers_before} -> "
-            f"{self.retimed.n_registers_after}",
+            f"{self.retimed.n_registers_after}; emitted area {units} units",
             f"  exact Table 12: {area.n_retimable}/{area.n_cut_nets} cut "
             f"nets retimable, A_CBIT/A_Total {area.pct_with_retiming:.1f}% "
             f"with retiming",

@@ -12,8 +12,10 @@ The repo carries several pairs of implementations that claim agreement:
 One check needs no second implementation: the cut-retiming solution is
 recounted from the edge list as a legal minimal cover
 (:func:`repro.retiming.verify.verify_drop_set`), so a bug shared by the
-solver and its reference twin still shows, and its register count is
-recounted from the same edge list.
+solver and its reference twin still shows; its register count is
+recounted from the same edge list and from the retimed netlist, and its
+emitted area is held below the unretimed lags' and the coverage
+step's.
 
 This module turns those contracts into a continuous fuzz loop over
 random :class:`~repro.corpus.spec.CorpusSpec` circuits.  Any mismatch is
@@ -49,6 +51,7 @@ from ..retiming.solve import (
     max_coverage_retiming,
     max_coverage_retiming_reference,
     solve_cut_retiming,
+    solve_cut_retiming_reference,
 )
 from .spec import CorpusSpec
 from .topology import generate_corpus_circuit
@@ -160,18 +163,23 @@ def check_pipeline(
 def check_solvers(
     netlist: Netlist, lk: int = 16, beta: int = 1
 ) -> Optional[str]:
-    """Output oracle on the production cut retiming.
+    """Output oracles on the production cut retiming.
 
-    The solution must be a legal minimal cover
+    The solve runs on the graph with PO sinks, as ``compile_circuit``
+    runs it.  The solution must be a legal minimal cover
     (:func:`repro.retiming.verify.verify_drop_set`): legal lags, a
     covered/dropped/unconstrained split of the cut universe, every
     covered cut registered on all its requirement edges, and no dropped
-    cut already fully registered.  The register step must keep the
-    coverage step's split, predict the register count the edge list
-    holds under its lags, and hold no more registers than the coverage
-    step's own lags do.  :func:`check_pipeline` already holds the
-    coverage step bit-identical to its reference twin.
+    cut already fully registered.  Its predicted register count must be
+    what the edge list holds under its lags and what ``apply_retiming``
+    emits; its emitted area must not exceed the area of the unretimed
+    lags or of the coverage step's lags; and it must equal the
+    network-simplex twin bit for bit.  :func:`check_pipeline` already
+    holds the coverage step bit-identical to its reference twin.
     """
+    from ..retiming.apply import apply_retiming
+    from ..retiming.model import Retiming
+    from ..retiming.registers import emitted_area
     from ..retiming.verify import verify_drop_set
 
     graph = build_circuit_graph(netlist, with_po_nodes=False)
@@ -179,27 +187,47 @@ def check_solvers(
     config = MercedConfig(seed=_SEED, lk=lk, beta=beta, min_visit=5)
     group = make_group(graph, scc_index, config, strict=False)
     cuts = assign_cbit(group.partition).partition.cut_nets()
+    graph = build_circuit_graph(netlist, with_po_nodes=True)
     edges = register_weighted_edges(graph)
     solution = solve_cut_retiming(graph, cuts, edges=edges)
     problem = verify_drop_set(graph, cuts, solution, edges=edges)
     if problem is not None:
         return problem
-    coverage = max_coverage_retiming(graph, cuts, edges=edges)
-    for part in ("covered_cuts", "dropped_cuts", "unconstrained_cuts"):
-        if getattr(solution, part) != getattr(coverage, part):
-            return f"the register step changed {part}"
     registers = solution.retiming.shared_registers()
-    if solution.registers != registers:
+    emitted = apply_retiming(netlist, solution.retiming.rho)
+    if not solution.registers == registers == emitted.n_registers_after:
         return (
-            f"register step predicted {solution.registers} registers; "
-            f"the edge list holds {registers} under its lags"
+            f"area step predicted {solution.registers} registers; the "
+            f"edge list holds {registers} under its lags and "
+            f"apply_retiming emits {emitted.n_registers_after}"
         )
-    ceiling = coverage.retiming.shared_registers()
-    if registers > ceiling:
-        return (
-            f"register step holds {registers} registers, more than the "
-            f"coverage step's {ceiling}"
-        )
+    twin = solve_cut_retiming_reference(graph, cuts, edges=edges)
+    for part in ("covered_cuts", "dropped_cuts", "unconstrained_cuts"):
+        if getattr(solution, part) != getattr(twin, part):
+            return f"the area step and its twin differ in {part}"
+    if solution.retiming.rho != twin.retiming.rho:
+        return "the area step and its twin differ in the lags"
+    if solution.registers != twin.registers:
+        return "the area step and its twin differ in the register count"
+    cut_set = set(cuts)
+
+    def area(rho: Dict[str, int]) -> int:
+        lags = Retiming(edges=tuple(edges), rho=rho)
+        dropped = {
+            e.via_nets[0]
+            for e in edges
+            if e.via_nets[0] in cut_set and lags.weight(e) < 1
+        }
+        return emitted_area(lags.shared_registers(), len(dropped))
+
+    least = area(solution.retiming.rho)
+    coverage = max_coverage_retiming(graph, cuts, edges=edges)
+    for name, rho in (("unretimed", {}), ("coverage", coverage.retiming.rho)):
+        if least > area(rho):
+            return (
+                f"area step emits {least} units, more than the {name} "
+                f"lags' {area(rho)}"
+            )
     return None
 
 

@@ -45,10 +45,11 @@ def check_equivalence(
     """Probe behavioural equivalence under common random input sequences.
 
     Both netlists must have the same primary inputs.  Primary outputs are
-    compared by *cone*: the retimed circuit's outputs are matched to the
-    original's via their names when equal, otherwise positionally.  This
-    is a Monte-Carlo check — it can accept a wrong state with probability
-    shrinking in ``n_steps × n_sequences``, never reject a right one.
+    compared position by position: the i-th output of one netlist
+    against the i-th of the other, whatever their names, so the two
+    must list them in the same order.  This is a Monte-Carlo check — it
+    can accept a wrong state with probability shrinking in
+    ``n_steps × n_sequences``, never reject a right one.
     """
     if set(original.inputs) != set(retimed.inputs):
         raise RetimingError("netlists have different primary inputs")

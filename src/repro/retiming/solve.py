@@ -1,13 +1,16 @@
-"""Exact cut-net retiming: maximum coverage, then the fewest registers.
+"""Exact cut-net retiming: the least emitted area, and maximum coverage.
 
-Given the cut nets chosen by the partitioner, we want a legal retiming
-that leaves **at least one register on as many cut nets as possible**:
-a covered cut's A_CELL reuses a functional DFF (0.9 DFF), an uncovered
-one keeps a MUXed A_CELL (2.3 DFF, §2.3/§4.2).  That is the coverage
-step, :func:`max_coverage_retiming`, described below.  Among the lags
-that cover the same set, :func:`solve_cut_retiming` then takes the
-ones whose retimed netlist holds the fewest registers (the register
-step, :mod:`repro.retiming.registers`).
+Given the cut nets chosen by the partitioner, a covered cut's A_CELL
+reuses a retimed functional DFF (0.9 DFF); an uncovered one keeps a
+MUXed A_CELL (2.3 DFF, §2.3/§4.2), and every register the retiming
+adds costs a DFF.  :func:`solve_cut_retiming`, which the compile path
+runs, returns the legal lags of least emitted area: 10 units per
+register after fan-out sharing plus 14 per dropped cut
+(:mod:`repro.retiming.registers`).  :func:`max_coverage_retiming` is the
+coverage step described below: a legal retiming that leaves **at least
+one register on as many cut nets as possible**, whatever the registers
+cost.  Callers that read only the covered/dropped split (the refiners,
+the fuzz fingerprint, the trend bench) use it.
 
 **Formulation.**  With ``w_ρ(e) = w(e) + ρ(head) − ρ(tail)`` (Lemma 1),
 legality is the difference constraint ``ρ(tail) − ρ(head) ≤ w(e)`` on
@@ -49,7 +52,7 @@ requirement arcs end at ``u_N``).  The first round is then the plain
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -66,7 +69,7 @@ from ..graphs.digraph import CircuitGraph
 from ..graphs.paths import WeightedEdge, register_weighted_edges
 from ..perf import count as perf_count
 from .model import Retiming
-from .registers import fewest_register_lags
+from .registers import least_area_lags, least_area_lags_reference
 
 __all__ = [
     "RetimingSolution",
@@ -83,15 +86,17 @@ class RetimingSolution:
     """Result of :func:`solve_cut_retiming` or :func:`max_coverage_retiming`.
 
     ``covered_cuts`` are cut nets the solved retiming *guarantees* a
-    register on; ``dropped_cuts`` sat on register-starved cycles and
-    keep their MUXed A_CELLs; ``unconstrained_cuts`` never generated a
-    constraint at all (their net heads no register-weighted edge — e.g.
-    dangling or mid-via-only nets), so the solver neither covered nor
-    dropped them.  ``iterations`` counts the coverage step's
-    cycle-search rounds.  ``registers`` is the register step's count of
-    the registers ``apply_retiming`` emits under ``retiming`` (shared
-    fan-out chains, PO sinks included when the graph has them); the
-    coverage step alone leaves it ``None``.
+    register on; ``dropped_cuts`` keep their MUXed A_CELLs, because no
+    legal retiming covers them (the coverage step) or covering them
+    costs more registers than it saves (the area solve);
+    ``unconstrained_cuts`` never generated a constraint at all (their
+    net heads no register-weighted edge — e.g. dangling or mid-via-only
+    nets), so the solver neither covered nor dropped them.
+    ``iterations`` counts the coverage step's cycle-search rounds, the
+    area solve's descent steps or its twin's pivots.  ``registers`` is
+    the area solve's count of the registers ``apply_retiming`` emits
+    under ``retiming`` (shared fan-out chains, PO sinks included when
+    the graph has them); the coverage step leaves it ``None``.
     """
 
     retiming: Retiming
@@ -504,9 +509,9 @@ def max_coverage_retiming(
         edge carrying a covered cut holds ≥ 1 register, and no legal
         retiming covers more cuts (with ``pin_io``: no I/O-pinned one).
         Cut nets that never generate a constraint are reported in
-        ``unconstrained_cuts``.  Callers that read only the split use
-        this step alone; its lags pull in more registers than covering
-        the same cuts needs.
+        ``unconstrained_cuts``.  Its lags pull in registers without
+        counting them; :func:`solve_cut_retiming` charges them against
+        the cuts they cover.
 
     Raises:
         RetimingError: the edge list holds a negative-weight cycle.
@@ -536,26 +541,25 @@ def solve_cut_retiming(
     edges: Optional[Sequence[WeightedEdge]] = None,
     pin_io: bool = False,
 ) -> RetimingSolution:
-    """Maximum coverage, then the fewest registers that keep it.
+    """The legal retiming of least emitted area.
 
-    Runs :func:`max_coverage_retiming`, then the register step
-    (:func:`~repro.retiming.registers.fewest_register_lags`) with the
-    covered set held fixed.  Arguments are
+    One exact solve (:func:`~repro.retiming.registers.least_area_lags`):
+    10 units per register ``apply_retiming`` emits plus 14 per dropped
+    cut net, minimised over legal lags.  Arguments are
     :func:`max_coverage_retiming`'s.
 
     Returns:
-        The coverage step's covered, dropped and unconstrained split and
-        round count, with the canonical lags that minimise the
-        registers :func:`~repro.retiming.apply.apply_retiming` emits:
-        legal, ≥ 1 register on every requirement edge of each covered
-        cut, and honouring ``pin_io``.  ``registers`` holds that count.
+        The greatest such lags ≤ 0: legal and honouring ``pin_io``.
+        The covered, dropped and unconstrained sets are read off their
+        weights, ``registers`` holds the count ``apply_retiming`` emits
+        and ``iterations`` the descent's steps.  Fewer cuts may be
+        covered than :func:`max_coverage_retiming` covers, where the
+        registers a cut needs cost more than the 14 units it saves.
 
     Raises:
-        RetimingError: the edge list holds a negative-weight cycle.
+        RetimingError: an edge has a negative weight.
     """
-    return _fewest_registers(
-        graph, cut_nets, edges, pin_io, max_coverage_retiming
-    )
+    return _least_area(graph, cut_nets, edges, pin_io, least_area_lags)
 
 
 def solve_cut_retiming_reference(
@@ -566,32 +570,42 @@ def solve_cut_retiming_reference(
 ) -> RetimingSolution:
     """Reference twin of :func:`solve_cut_retiming`.
 
-    Runs the coverage step with :func:`max_coverage_retiming_reference`,
-    then the same register step.  Lags, ``registers`` and the covered,
-    dropped and unconstrained sets are bit-identical to the production
-    solver; only the round count may differ.
+    Solves the same LP by network simplex on its dual
+    (:func:`~repro.retiming.registers.least_area_lags_reference`).
+    Lags, ``registers`` and the covered, dropped and unconstrained sets
+    are bit-identical to the production solver; ``iterations`` counts
+    pivots instead of steps.
     """
-    return _fewest_registers(
-        graph, cut_nets, edges, pin_io, max_coverage_retiming_reference
+    return _least_area(
+        graph, cut_nets, edges, pin_io, least_area_lags_reference
     )
 
 
-def _fewest_registers(
+def _least_area(
     graph: CircuitGraph,
     cut_nets: Iterable[str],
     edges: Optional[Sequence[WeightedEdge]],
     pin_io: bool,
-    coverage_step: Callable[..., RetimingSolution],
+    kernel: Callable[..., Tuple[Dict[str, int], int, int]],
 ) -> RetimingSolution:
     if edges is None:
         edges = register_weighted_edges(graph)
-    coverage = coverage_step(graph, cut_nets, edges, pin_io)
-    names = list(coverage.retiming.rho)  # every edge endpoint, sorted
-    rho, registers = fewest_register_lags(
-        edges,
-        coverage.covered_cuts,
-        _io_names(graph, names) if pin_io else None,
-    )
-    retiming = Retiming(edges=coverage.retiming.edges, rho=rho)
+    cut_set = set(cut_nets)
+    io_names = None
+    if pin_io:
+        names = sorted({e.tail for e in edges} | {e.head for e in edges})
+        io_names = _io_names(graph, names)
+    rho, registers, steps = kernel(edges, cut_set, io_names)
+    retiming = Retiming(edges=tuple(edges), rho=rho)
     retiming.assert_legal()
-    return replace(coverage, retiming=retiming, registers=registers)
+    requirements = [e for e in edges if e.via_nets[0] in cut_set]
+    dropped = {e.via_nets[0] for e in requirements if retiming.weight(e) < 1}
+    covered = {e.via_nets[0] for e in requirements} - dropped
+    return RetimingSolution(
+        retiming=retiming,
+        covered_cuts=covered,
+        dropped_cuts=dropped,
+        iterations=steps,
+        unconstrained_cuts=cut_set - covered - dropped,
+        registers=registers,
+    )

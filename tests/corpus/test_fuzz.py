@@ -34,7 +34,7 @@ def test_checks_agree_on_seed_corpus_circuit():
 
 
 def test_solver_check_recounts_the_register_prediction(monkeypatch):
-    """A register step that mispredicts its own count is caught by the
+    """An area step that mispredicts its own count is caught by the
     recount from the edge list, not trusted."""
     solve = fuzz.solve_cut_retiming
 

@@ -148,10 +148,11 @@ class TestDeterminism:
 
 class TestInnerSolver:
     def test_reported_uncovered_count_is_the_exact_solve(self):
-        """The final state's uncovered count comes from one exact solve,
-        whose output passes the legal-minimal-cover oracle."""
+        """The final state's uncovered count comes from one exact
+        coverage solve, whose output passes the legal-minimal-cover
+        oracle."""
         from repro.graphs.paths import register_weighted_edges
-        from repro.retiming.solve import solve_cut_retiming
+        from repro.retiming.solve import max_coverage_retiming
         from repro.retiming.verify import verify_drop_set
 
         graph, scc_index, partition, config = _seed_partition(
@@ -162,7 +163,7 @@ class TestInnerSolver:
         res.partition.validate()
         cuts = res.partition.cut_nets()
         edges = register_weighted_edges(graph)
-        solution = solve_cut_retiming(graph, cuts, edges=edges)
+        solution = max_coverage_retiming(graph, cuts, edges=edges)
         assert verify_drop_set(graph, cuts, solution, edges=edges) is None
         assert res.uncovered_after == len(solution.dropped_cuts)
 

@@ -31,7 +31,11 @@ from repro.graphs.digraph import NodeKind
 from repro.netlist import parse_bench
 from repro.retiming import apply_retiming, infer_retiming
 from repro.retiming.model import is_legal
-from repro.retiming.solve import bellman_ford_constraints, solve_cut_retiming
+from repro.retiming.solve import (
+    bellman_ford_constraints,
+    max_coverage_retiming,
+    solve_cut_retiming,
+)
 
 GATES = ["AND", "NAND", "OR", "NOR", "XOR"]
 
@@ -226,7 +230,7 @@ def test_solver_covers_the_largest_feasible_cut_subset(nl, pin_io, data):
         st.lists(st.sampled_from(nets), max_size=10, unique=True),
         label="cuts",
     )
-    solution = solve_cut_retiming(graph, cuts, pin_io=pin_io)
+    solution = max_coverage_retiming(graph, cuts, pin_io=pin_io)
     assert len(solution.covered_cuts) == _largest_feasible_subset(
         graph, edges, set(cuts), pin_io
     )

@@ -610,10 +610,17 @@ def test_nonpositive_or_non_number_timeout_is_400(boot, timeout):
         ("alpha", float("nan")),
         ("alpha", float("inf")),
         ("optimize_budget", float("nan")),
+        pytest.param("delta", 10**400, id="delta-int-beyond-float"),
+        pytest.param("alpha", 10**400, id="alpha-int-beyond-float"),
+        pytest.param("cap", 10**400, id="cap-int-beyond-float"),
+        pytest.param(
+            "optimize_budget", 10**400, id="optimize_budget-int-beyond-float"
+        ),
     ],
 )
 def test_non_finite_config_is_400(boot, field, value):
-    """NaN used to compile (alpha=NaN gave a wrong Σ, then cached it)."""
+    """NaN used to compile (alpha=NaN gave a wrong Σ, then cached it),
+    and so did an int beyond the float range for alpha or cap."""
     _, client = boot()
     with pytest.raises(ServiceRejectedError) as err:
         client.compile_point(circuit="s27", lk=3, **{field: value})

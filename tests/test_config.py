@@ -60,6 +60,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MercedConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field", ["delta", "alpha", "cap", "optimize_budget"]
+    )
+    def test_int_beyond_the_float_range_rejected(self, field):
+        """An int no float can hold used to pass the type check and then
+        raise an untyped OverflowError in the flow (``delta``) or compile
+        silently (``alpha``, ``cap``)."""
+        with pytest.raises(ConfigError, match=f"{field} must be a finite"):
+            MercedConfig(**{field: 10**400})
+
     def test_int_accepted_for_float_fields(self):
         cfg = MercedConfig(delta=1, alpha=4, cap=2, optimize_budget=3)
         assert cfg.canonical_dict()["delta"] == 1
