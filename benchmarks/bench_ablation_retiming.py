@@ -4,8 +4,9 @@
   trade-off between the SCC cut budget and feasibility/testing time.
 * **Greedy merge on/off**: Assign_CBIT's contribution to Σ (Eq. 4).
 * **Retimability accounting**: the paper's per-SCC budget count vs the
-  exact difference-constraint solver, with and without the strict
-  I/O-latency (host) condition.
+  cuts the least-area retiming ``compile_circuit`` runs covers, and the
+  area it emits, with and without the strict I/O-latency (host)
+  condition.
 """
 
 import pytest
@@ -17,7 +18,8 @@ from repro.core.cost import count_retimable_cuts
 from repro.graphs import SCCIndex, build_circuit_graph
 from repro.circuits import load_circuit
 from repro.partition import assign_cbit, make_group
-from repro.retiming import max_coverage_retiming
+from repro.retiming import solve_cut_retiming
+from repro.retiming.registers import emitted_area
 
 CIRCUIT = "s641"
 SEED = 3
@@ -123,11 +125,19 @@ def run_retimability_comparison():
         scc = SCCIndex(build_circuit_graph(nl, with_po_nodes=False))
         cuts = report.partition.cut_nets()
         budget = count_retimable_cuts(scc, cuts)
-        exact_free = len(max_coverage_retiming(g, cuts).covered_cuts)
-        exact_pinned = len(
-            max_coverage_retiming(g, cuts, pin_io=True).covered_cuts
+        free = solve_cut_retiming(g, cuts)
+        pinned = solve_cut_retiming(g, cuts, pin_io=True)
+        rows.append(
+            (
+                name,
+                len(cuts),
+                budget,
+                len(free.covered_cuts),
+                len(pinned.covered_cuts),
+                emitted_area(free.registers, len(free.dropped_cuts)),
+                emitted_area(pinned.registers, len(pinned.dropped_cuts)),
+            )
         )
-        rows.append((name, len(cuts), budget, exact_free, exact_pinned))
     return rows
 
 
@@ -140,8 +150,10 @@ def test_ablation_retimability_accounting(benchmark, output_dir):
             "Circuit",
             "cut nets",
             "paper budget count",
-            "exact (free I/O)",
-            "exact (pinned I/O)",
+            "covered (free I/O)",
+            "covered (pinned I/O)",
+            "area (free I/O)",
+            "area (pinned I/O)",
         ],
         rows,
     )
@@ -149,11 +161,16 @@ def test_ablation_retimability_accounting(benchmark, output_dir):
         output_dir,
         "ablation_retimability.txt",
         "Ablation — retimable-cut estimators\n" + table
-        + "\n\nWhen I/O latency may shift (the paper's assumption) the exact "
-        "solver covers at least the paper's per-SCC budget count, so that "
-        "count is a conservative estimate; pinning the I/O (cycle-accurate "
-        "equivalence) covers fewer cuts — the honest price of Eq. 1's "
-        "'registers can be added arbitrarily'.",
+        + "\n\nThe paper's per-SCC budget count is how many cuts a "
+        "retiming could cover. The least-area retiming covers a cut only "
+        "where the registers it needs cost less than the MUXed A_CELL it "
+        "saves, so it covers fewer cuts than that count on every row: "
+        "Table 12's count is the paper's accounting, not what Merced "
+        "emits. Area is the part of the emitted netlist the retiming "
+        "controls (10 units per register, 14 per dropped cut). Pinning "
+        "the I/O (cycle-accurate equivalence) never emits less area — the "
+        "honest price of Eq. 1's 'registers can be added arbitrarily'.",
     )
-    for name, cuts, budget, free, pinned in rows:
-        assert pinned <= free <= cuts
+    for name, cuts, budget, free, pinned, free_area, pinned_area in rows:
+        assert free_area <= pinned_area
+        assert free <= cuts and pinned <= cuts

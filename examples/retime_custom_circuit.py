@@ -6,8 +6,9 @@ Demonstrates the full "area-efficient PPET" story on a custom circuit:
 1. parse an ISCAS89-format netlist (here built inline; pass a path to use
    your own file);
 2. run Merced to choose the cut nets;
-3. solve for a legal retiming that moves existing DFFs onto the cuts
-   (with the strict I/O-latency-preserving host condition);
+3. solve for the legal retiming of least emitted area, which moves
+   existing DFFs onto the cuts where that saves a MUXed A_CELL (with the
+   strict I/O-latency-preserving host condition);
 4. apply the retiming, verify it is a legal retiming (Corollary 2 check),
    and compute an equivalent power-up state for the moved registers.
 
@@ -41,17 +42,19 @@ from repro.retiming import (
 
 DEMO_BENCH = """
 # a control loop with a wide combinational region: at l_k = 3 the region
-# must be cut, and the cuts land on the SCC where the two DFFs live
+# must be cut, and one cut lands on n2, whose gate reads only the loop's
+# two DFFs -- moving both forward across n2 leaves one register on the
+# cut net, so the cut is covered with fewer registers than before
 INPUT(d0)
 INPUT(d1)
 INPUT(d2)
 INPUT(d3)
 OUTPUT(y)
-n1 = NAND(d0, q2)
-n2 = NOR(n1, d1)
+n1 = NAND(d0, d1)
+n2 = NOR(q1, q2)
 n3 = XOR(n2, d2)
 q1 = DFF(n3)
-n4 = AND(n2, q1)
+n4 = AND(n2, n1)
 n5 = OR(n4, d3)
 q2 = DFF(n5)
 n6 = NAND(n5, n3)

@@ -6,10 +6,13 @@ ISCAS circuit plus one generated ``corpus-*`` circuit at claimed scale
 (50k gates, see :mod:`repro.corpus`) and writes ``BENCH_partition.json``
 at the repo root:
 per circuit, the wall-clock seconds per stage and the hot-path counter
-totals (``dfs_visits``, ``boundary_pops``, ``bf_relaxations``,
-``gain_evals``, ...).  The JSON is committed as a baseline so future
-PRs can diff both time and *work* — a counter regression flags an
-algorithmic change even when wall clock is noisy on shared runners.
+totals (``dfs_visits``, ``boundary_pops``, ``gain_evals``,
+``area_paths``, ...).  The retiming stage is the least-area solve
+``compile_circuit`` runs
+(:func:`repro.retiming.solve.solve_cut_retiming`).  The JSON is
+committed as a baseline so future PRs can diff both time and *work* —
+a counter regression flags an algorithmic change even when wall clock
+is noisy on shared runners.
 
 Run (writes the baseline in place):
     PYTHONPATH=src python scripts/bench_trend.py
@@ -18,7 +21,8 @@ Run (writes the baseline in place):
 Regression-guard mode (CI): re-runs the workload and compares the
 deterministic fields against the committed baseline without writing —
 exits 2 when ``dropped_cuts``, ``n_cuts_retimed`` or ``n_clusters``
-changes, or ``bf_relaxations`` grows by more than 10%:
+changes, or the work counter ``area_paths`` grows by more than 10% or is
+missing from the fresh run:
     PYTHONPATH=src python scripts/bench_trend.py --check --circuits s641
 
 ``--check`` also statically validates the committed refinement-tier
@@ -56,7 +60,7 @@ from repro.flow.saturate import saturate_network  # noqa: E402
 from repro.graphs import SCCIndex, build_circuit_graph  # noqa: E402
 from repro.partition import assign_cbit, make_group  # noqa: E402
 from repro.perf import profiled, stage  # noqa: E402
-from repro.retiming.solve import max_coverage_retiming  # noqa: E402
+from repro.retiming.solve import solve_cut_retiming  # noqa: E402
 
 OUT = REPO / "BENCH_partition.json"
 OPTIMIZE_OUT = REPO / "BENCH_optimize.json"
@@ -98,8 +102,10 @@ def load_trend_circuit(name):
         return load_corpus_circuit(name)
     return load_circuit(name)
 
-#: Allowed relative growth of ``bf_relaxations`` before --check fails.
-RELAX_TOLERANCE = 1.10
+#: The retiming solve's work counter (augmenting paths) and its allowed
+#: relative growth before --check fails.
+WORK_COUNTER = "area_paths"
+WORK_TOLERANCE = 1.10
 
 LK = 16
 SEED = 1996
@@ -133,7 +139,7 @@ def run_circuit(name: str) -> dict:
             merged = assign_cbit(group.partition)
         cuts = merged.partition.cut_nets()
         with stage("retiming"):
-            solution = max_coverage_retiming(graph, cuts)
+            solution = solve_cut_retiming(graph, cuts)
     seconds = time.perf_counter() - t0
     return {
         "seconds": round(seconds, 4),
@@ -153,8 +159,10 @@ def check_circuit(name: str, result: dict, baseline: dict) -> list:
     """Compare one fresh run against the committed baseline entry.
 
     Returns a list of human-readable regression strings (empty = pass).
-    Deterministic fields must match exactly; ``bf_relaxations`` is a
-    work metric and may grow up to :data:`RELAX_TOLERANCE`.
+    Deterministic fields must match exactly; :data:`WORK_COUNTER` is a
+    work metric and may grow up to :data:`WORK_TOLERANCE`.  A baseline
+    that has it and a fresh run that lacks it fail, so renaming the
+    counter cannot switch the guard off.
     """
     problems = []
     base = baseline.get("circuits", {}).get(name)
@@ -165,12 +173,17 @@ def check_circuit(name: str, result: dict, baseline: dict) -> list:
             problems.append(
                 f"{name}: {field} changed {base[field]} -> {result[field]}"
             )
-    base_relax = base.get("counters", {}).get("bf_relaxations")
-    now_relax = result["counters"].get("bf_relaxations")
-    if base_relax and now_relax and now_relax > base_relax * RELAX_TOLERANCE:
+    base_work = base.get("counters", {}).get(WORK_COUNTER)
+    now_work = result["counters"].get(WORK_COUNTER)
+    if base_work is not None and now_work is None:
         problems.append(
-            f"{name}: bf_relaxations regressed {base_relax} -> {now_relax} "
-            f"(> {RELAX_TOLERANCE:.0%} of baseline)"
+            f"{name}: {WORK_COUNTER} missing from the fresh run "
+            f"(baseline {base_work})"
+        )
+    elif base_work is not None and now_work > base_work * WORK_TOLERANCE:
+        problems.append(
+            f"{name}: {WORK_COUNTER} regressed {base_work} -> {now_work} "
+            f"(> {WORK_TOLERANCE:.0%} of baseline)"
         )
     return problems
 
@@ -238,7 +251,7 @@ def main(argv=None) -> None:
         "--check",
         action="store_true",
         help="compare against the committed baseline instead of writing; "
-        "exit 2 on dropped_cuts / bf_relaxations regressions or "
+        "exit 2 on dropped_cuts / area_paths regressions or "
         "a failing optimize baseline (BENCH_optimize.json)",
     )
     args = parser.parse_args(argv)

@@ -40,10 +40,9 @@ use `PYTHONPATH=src` (e.g. `PYTHONPATH=src python -m pytest -x -q`).
 wall-clock timers and hot-path counters (Dijkstra runs, relaxations,
 flow injections, merge gain evaluations, nets cut, faults graded) to
 `FILE`, or to stdout when no file is given; combined with `--selftest`
-the PPET session is traced too, and with `--retime` the retiming
-counters (`area_steps`, `area_paths` and the predicted
-`retimed_registers` for the least-area solve; `bf_relaxations` and
-`retiming_rounds` where the coverage step runs). Programmatically, wrap any code in
+the PPET session is traced too, and with `--retime` the least-area
+solve's counters (`area_steps`, `area_paths` and the predicted
+`retimed_registers`). Programmatically, wrap any code in
 `repro.perf.profiled(label)` to get a `PerfTrace`, or call
 `activate`/`deactivate` for explicit control; `repro.perf.stage(name)`
 and `repro.perf.count(name, n)` are the no-op-when-inactive probes the

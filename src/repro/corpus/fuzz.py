@@ -14,8 +14,7 @@ recounted from the edge list as a legal minimal cover
 (:func:`repro.retiming.verify.verify_drop_set`), so a bug shared by the
 solver and its reference twin still shows; its register count is
 recounted from the same edge list and from the retimed netlist, and its
-emitted area is held below the unretimed lags' and the coverage
-step's.
+emitted area is held at or below the unretimed lags'.
 
 This module turns those contracts into a continuous fuzz loop over
 random :class:`~repro.corpus.spec.CorpusSpec` circuits.  Any mismatch is
@@ -48,8 +47,6 @@ from ..netlist.netlist import Netlist
 from ..partition import assign_cbit, make_group
 from ..partition.assign_cbit import assign_cbit_reference
 from ..retiming.solve import (
-    max_coverage_retiming,
-    max_coverage_retiming_reference,
     solve_cut_retiming,
     solve_cut_retiming_reference,
 )
@@ -88,7 +85,7 @@ def pipeline_fingerprint(
     use_compiled: bool = True,
 ) -> Dict[str, object]:
     """Canonical observable state of one make_group → assign_cbit →
-    max_coverage_retiming run.
+    solve_cut_retiming run.
 
     Every field is order-normalized, so two fingerprints compare with
     ``==`` key by key.  The compiled and reference paths must produce
@@ -104,11 +101,11 @@ def pipeline_fingerprint(
     if use_compiled:
         merged = assign_cbit(group.partition)
         cuts = merged.partition.cut_nets()
-        solution = max_coverage_retiming(graph, cuts)
+        solution = solve_cut_retiming(graph, cuts)
     else:
         merged = assign_cbit_reference(group.partition)
         cuts = merged.partition.cut_nets()
-        solution = max_coverage_retiming_reference(graph, cuts)
+        solution = solve_cut_retiming_reference(graph, cuts)
     return {
         "n_splits": group.n_splits,
         "cut": sorted(group.cut_state.cut),
@@ -129,6 +126,7 @@ def pipeline_fingerprint(
         "n_merges": merged.n_merges,
         "cut_nets": cuts,
         "rho": solution.retiming.rho,
+        "registers": solution.registers,
         "covered": sorted(solution.covered_cuts),
         "dropped": sorted(solution.dropped_cuts),
         "unconstrained": sorted(solution.unconstrained_cuts),
@@ -173,9 +171,9 @@ def check_solvers(
     cut already fully registered.  Its predicted register count must be
     what the edge list holds under its lags and what ``apply_retiming``
     emits; its emitted area must not exceed the area of the unretimed
-    lags or of the coverage step's lags; and it must equal the
-    network-simplex twin bit for bit.  :func:`check_pipeline` already
-    holds the coverage step bit-identical to its reference twin.
+    lags; and it must equal the network-simplex twin bit for bit.
+    ``tests/retiming/test_fewest_registers.py`` checks, by networkx
+    and by brute force, that it is the least area any legal lags reach.
     """
     from ..retiming.apply import apply_retiming
     from ..retiming.model import Retiming
@@ -221,13 +219,11 @@ def check_solvers(
         return emitted_area(lags.shared_registers(), len(dropped))
 
     least = area(solution.retiming.rho)
-    coverage = max_coverage_retiming(graph, cuts, edges=edges)
-    for name, rho in (("unretimed", {}), ("coverage", coverage.retiming.rho)):
-        if least > area(rho):
-            return (
-                f"area step emits {least} units, more than the {name} "
-                f"lags' {area(rho)}"
-            )
+    if least > area({}):
+        return (
+            f"area step emits {least} units, more than the unretimed "
+            f"lags' {area({})}"
+        )
     return None
 
 

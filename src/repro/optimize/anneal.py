@@ -55,7 +55,7 @@ from ..graphs.digraph import CircuitGraph, NodeKind
 from ..graphs.paths import register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
-from ..retiming.solve import max_coverage_retiming
+from ..retiming.solve import solve_cut_retiming
 from .engine import MoveEngine
 from .refine import (
     OptimizeResult,
@@ -116,7 +116,7 @@ def anneal_refine(
     ]
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts
-    solution = max_coverage_retiming(graph, engine.cut_nets(), edges=edges)
+    solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
     uncovered0 = len(solution.dropped_cuts)
     n_retimes = 1
     # nets the last exact solve proved free (covered or unconstrained);
@@ -180,7 +180,7 @@ def anneal_refine(
             else:
                 engine.undo(record)
         if step % checkpoint_every == 0 and step < n_steps:
-            solution = max_coverage_retiming(
+            solution = solve_cut_retiming(
                 graph, engine.cut_nets(), edges=edges
             )
             n_retimes += 1
@@ -207,7 +207,7 @@ def anneal_refine(
     # cost holds up against the seed's
     refined = engine.export_partition(best_snapshot, scc_index)
     final_cuts = refined.cut_nets()
-    final_solution = max_coverage_retiming(graph, final_cuts, edges=edges)
+    final_solution = solve_cut_retiming(graph, final_cuts, edges=edges)
     n_retimes += 1
     sigma_best = engine.sigma_of(best_snapshot)
     uncovered_best = len(final_solution.dropped_cuts)

@@ -24,7 +24,7 @@ from ..graphs.digraph import CircuitGraph, NodeKind
 from ..graphs.paths import register_weighted_edges
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
-from ..retiming.solve import max_coverage_retiming
+from ..retiming.solve import solve_cut_retiming
 from .engine import MoveEngine
 from .refine import OptimizeResult, schedule_steps
 
@@ -51,7 +51,7 @@ def fast_refine(
 
     sigma0 = engine.sigma
     cuts0 = engine.n_cuts
-    solution = max_coverage_retiming(graph, engine.cut_nets(), edges=edges)
+    solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
     uncovered0 = len(solution.dropped_cuts)
     n_retimes = 1
     max_proposals = schedule_steps(
@@ -89,7 +89,7 @@ def fast_refine(
             break
 
     if changed_since_retime:
-        solution = max_coverage_retiming(graph, engine.cut_nets(), edges=edges)
+        solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
         n_retimes += 1
     refined = engine.export_partition(scc_index=scc_index)
     return OptimizeResult(

@@ -22,14 +22,16 @@ budget is advisory; a slow host overshoots the wall clock instead of
 changing the answer.
 
 **Re-retiming contract.**  One exact solve
-(:func:`~repro.retiming.solve.max_coverage_retiming` with a precomputed
-``register_weighted_edges`` list shared by every solve) runs at the
-start, at deterministic mid-run checkpoints the budget can afford
-(:func:`estimate_retime_seconds`), and once on the final best state, so
-every *reported* number is exact.  Between checkpoints the uncovered
-term is estimated pessimistically: any current cut the last solve did
-not prove covered (or unconstrained) is charged as uncovered, so the
-walk can only be surprised favourably.
+(:func:`~repro.retiming.solve.solve_cut_retiming`, the least-area solve
+``compile_circuit`` runs, with a precomputed ``register_weighted_edges``
+list shared by every solve) runs at the start, at deterministic mid-run
+checkpoints the budget can afford (:func:`estimate_retime_seconds`), and
+once on the final best state, so every *reported* number is exact: the
+uncovered count is the dropped count the compile emits for the same
+cut set.  Between checkpoints the uncovered term is estimated
+pessimistically: any current cut the last solve did not prove covered
+(or unconstrained) is charged as uncovered, so the walk can only be
+surprised favourably.
 """
 
 from __future__ import annotations

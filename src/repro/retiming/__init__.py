@@ -10,8 +10,6 @@ from .model import (
 from .solve import (
     RetimingSolution,
     bellman_ford_constraints,
-    max_coverage_retiming,
-    max_coverage_retiming_reference,
     solve_cut_retiming,
     solve_cut_retiming_reference,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "retimed_weight",
     "RetimingSolution",
     "bellman_ford_constraints",
-    "max_coverage_retiming",
-    "max_coverage_retiming_reference",
     "solve_cut_retiming",
     "solve_cut_retiming_reference",
     "verify_drop_set",

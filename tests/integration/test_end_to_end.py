@@ -11,7 +11,6 @@ from repro.retiming import (
     apply_retiming,
     check_equivalence,
     find_equivalent_initial_state,
-    max_coverage_retiming,
     solve_cut_retiming,
     verify_retiming,
 )
@@ -37,17 +36,6 @@ def test_compile_retime_verify_loop():
 
     state = find_equivalent_initial_state(s27, retimed.netlist)
     assert check_equivalence(s27, {}, retimed.netlist, state, n_steps=16)
-
-
-def test_unpinned_solver_covers_at_least_as_many_cuts():
-    """Dropping the host condition (the paper's accounting) can only help."""
-    s27 = load_circuit("s27")
-    report = Merced(MercedConfig(lk=3, seed=7)).run(s27)
-    cuts = report.partition.cut_nets()
-    graph = build_circuit_graph(s27, with_po_nodes=True)
-    free = max_coverage_retiming(graph, cuts)
-    pinned = max_coverage_retiming(graph, cuts, pin_io=True)
-    assert len(free.covered_cuts) >= len(pinned.covered_cuts)
 
 
 def test_bench_file_through_whole_pipeline(tmp_path):

@@ -149,10 +149,10 @@ class TestDeterminism:
 class TestInnerSolver:
     def test_reported_uncovered_count_is_the_exact_solve(self):
         """The final state's uncovered count comes from one exact
-        coverage solve, whose output passes the legal-minimal-cover
+        least-area solve, whose output passes the legal-minimal-cover
         oracle."""
         from repro.graphs.paths import register_weighted_edges
-        from repro.retiming.solve import max_coverage_retiming
+        from repro.retiming.solve import solve_cut_retiming
         from repro.retiming.verify import verify_drop_set
 
         graph, scc_index, partition, config = _seed_partition(
@@ -163,9 +163,24 @@ class TestInnerSolver:
         res.partition.validate()
         cuts = res.partition.cut_nets()
         edges = register_weighted_edges(graph)
-        solution = max_coverage_retiming(graph, cuts, edges=edges)
+        solution = solve_cut_retiming(graph, cuts, edges=edges)
         assert verify_drop_set(graph, cuts, solution, edges=edges) is None
         assert res.uncovered_after == len(solution.dropped_cuts)
+
+    def test_uncovered_count_is_what_the_compile_drops(self):
+        """The refiner charges the dropped cuts of the solve
+        ``compile_circuit`` emits for the refined partition."""
+        from repro.core.merced import compile_circuit
+
+        arts = compile_circuit(
+            load_circuit("s510"),
+            MercedConfig(
+                lk=16, seed=1996, optimize="fast", optimize_budget=2.0
+            ),
+        )
+        assert arts.report.optimize["uncovered_after"] == len(
+            arts.retiming.dropped_cuts
+        )
 
 
 class TestMercedIntegration:

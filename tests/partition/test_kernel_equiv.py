@@ -1,17 +1,17 @@
 """Compiled vs reference partition/retiming kernels: bit-identity.
 
 Every compiled kernel (epoch-stamped ``Make_Set`` DFS, lazy boundary
-heap, incremental merge-gain scoring, SPFA cycle cancelling) claims
-exact equality with its reference counterpart — same clusters in the
-same order, same cut/forced sets, same merge winners under ties, same
-lags and dropped cuts.  Only the retiming round count may differ: the
-two solvers cancel different cycles on the way to the same optimum.
+heap, incremental merge-gain scoring, the least-area retiming descent)
+claims exact equality with its reference counterpart — same clusters in
+the same order, same cut/forced sets, same merge winners under ties,
+same lags, register count and dropped cuts.  Only the retiming's step
+count may differ: the descent's steps are not the twin's pivots.
 These tests run both paths end to end on random feedback circuits and
 bundled benches and compare everything observable: the
 :func:`repro.corpus.fuzz.pipeline_fingerprint` the differential fuzzer
 compares, key by key.  Its reference side runs
 ``make_group(use_compiled=False)``, ``assign_cbit_reference`` and
-``max_coverage_retiming_reference``.
+``solve_cut_retiming_reference``.
 """
 
 import pytest
@@ -73,7 +73,7 @@ def test_kernel_equivalence_bundled(name, lk):
 
 
 def test_kernel_equivalence_bundled_beta2():
-    # β=2 exercises budget exhaustion + many cycle-cancelling rounds
+    # β=2 exercises budget exhaustion and a cut set the retiming drops from
     assert_pipelines_identical(load_circuit("s641"), lk=16, beta=2)
 
 

@@ -9,9 +9,7 @@ Two halves of the paper's legality story (Corollaries 2/3):
   produces: the solver's ρ round-trips through ``apply_retiming`` and is
   re-inferred by the verifier, while a ρ that drives any connection's
   register count negative is rejected by both the edge algebra
-  (``is_legal``) and the applier (``IllegalRetimingError``);
-* the solver is exact: it covers as many cuts as the largest subset an
-  exhaustive search proves feasible.
+  (``is_legal``) and the applier (``IllegalRetimingError``).
 
 Random circuits come from a ``.bench``-text strategy that allows DFF
 inputs to reference *later* gates, so — unlike the topological-order
@@ -19,23 +17,15 @@ strategy in ``test_props_netlist`` — these netlists contain genuine
 sequential feedback loops for Corollary 2 to bite on.
 """
 
-from itertools import combinations
-
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IllegalRetimingError, RetimingError
 from repro.graphs import build_circuit_graph, register_weighted_edges
-from repro.graphs.build import is_po_node
-from repro.graphs.digraph import NodeKind
 from repro.netlist import parse_bench
 from repro.retiming import apply_retiming, infer_retiming
 from repro.retiming.model import is_legal
-from repro.retiming.solve import (
-    bellman_ford_constraints,
-    max_coverage_retiming,
-    solve_cut_retiming,
-)
+from repro.retiming.solve import solve_cut_retiming
 
 GATES = ["AND", "NAND", "OR", "NOR", "XOR"]
 
@@ -181,59 +171,6 @@ def test_legality_accepts_solver_retimings(nl, data):
             f"connection {tail}->{head} moved {dk}, solver ρ implies "
             f"{rho.get(head, 0) - rho.get(tail, 0)}"
         )
-
-
-def _largest_feasible_subset(graph, edges, cuts, pin_io):
-    """Exhaustive search: the most cut nets any legal retiming covers."""
-    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
-    legality = [(e.tail, e.head, e.weight) for e in edges]
-    if pin_io:
-        host = "__host__"
-        for n in nodes:
-            if is_po_node(n) or (
-                graph.has_node(n) and graph.kind(n) is NodeKind.INPUT
-            ):
-                legality += [(n, host, 0), (host, n, 0)]
-        nodes.append(host)
-    by_net = {}
-    for e in edges:
-        if e.via_nets[0] in cuts:
-            by_net.setdefault(e.via_nets[0], []).append(e)
-    for k in range(len(by_net), 0, -1):
-        for subset in combinations(sorted(by_net), k):
-            required = [
-                (e.tail, e.head, e.weight - 1)
-                for net in subset
-                for e in by_net[net]
-            ]
-            solution, _cycle = bellman_ford_constraints(
-                nodes, legality + required
-            )
-            if solution is not None:
-                return k
-    return 0
-
-
-@given(feedback_netlists(), st.booleans(), st.data())
-@settings(
-    max_examples=150,
-    deadline=None,
-    suppress_health_check=[HealthCheck.filter_too_much],
-)
-def test_solver_covers_the_largest_feasible_cut_subset(nl, pin_io, data):
-    """Exact coverage: no subset of the cuts that some legal retiming
-    registers is larger than the solver's covered set."""
-    graph = build_circuit_graph(nl, with_po_nodes=True)
-    edges = register_weighted_edges(graph)
-    nets = sorted({e.via_nets[0] for e in edges})
-    cuts = data.draw(
-        st.lists(st.sampled_from(nets), max_size=10, unique=True),
-        label="cuts",
-    )
-    solution = max_coverage_retiming(graph, cuts, pin_io=pin_io)
-    assert len(solution.covered_cuts) == _largest_feasible_subset(
-        graph, edges, set(cuts), pin_io
-    )
 
 
 @given(feedback_netlists())

@@ -12,8 +12,8 @@ did not compute:
   builds itself, slack nodes included;
 * (c) the register count recounted from the edge list, and on the
   PO-sink graph the count and DFFs ``apply_retiming`` emits;
-* (d) never more area than the unretimed lags or the coverage step's
-  lags, no more free than with ``pin_io``, and a legal minimal cover;
+* (d) never more area than the unretimed lags, no more free than with
+  ``pin_io``, and a legal minimal cover;
 * (e) the production descent equals the network-simplex twin bit for
   bit on the kernel-equivalence set.
 """
@@ -47,7 +47,6 @@ from repro.retiming.registers import (
 )
 from repro.retiming.solve import (
     bellman_ford_constraints,
-    max_coverage_retiming,
     solve_cut_retiming,
     solve_cut_retiming_reference,
 )
@@ -137,8 +136,6 @@ def _check(graph, edges, cuts, pin_io):
     area = emitted_area(sol.registers, len(sol.dropped_cuts))
     assert area == _area(edges, set(cuts), rho)
     assert area <= _area(edges, set(cuts), {})
-    cov = max_coverage_retiming(graph, cuts, edges=edges, pin_io=pin_io)
-    assert area <= _area(edges, set(cuts), cov.retiming.rho)
     if pin_io:
         io = _io_nodes(graph, rho)
         assert len({rho[n] for n in io}) <= 1

@@ -1,14 +1,11 @@
 """Production cut retiming vs its reference twin on corpus circuits.
 
-:func:`max_coverage_retiming` cancels cycles with SPFA over a folded
-residual network; :func:`max_coverage_retiming_reference` cancels them on
-the unfolded network with the dense :func:`bellman_ford_constraints`.
-Both end on the greatest all-zero-start fixed point of the optimal dual
-set, which does not depend on the cycles cancelled, so lags and the
-covered, dropped and unconstrained sets must be bit-identical.  The
-same holds for :func:`solve_cut_retiming` and
-:func:`solve_cut_retiming_reference`, which add the register step to
-each.  Every solution must also pass the output oracle
+:func:`solve_cut_retiming` descends from the unretimed lags by minimal
+maximum-weight closures; :func:`solve_cut_retiming_reference` solves the
+dual by network simplex.  Both return the greatest least-area lags ≤ 0,
+which do not depend on the path taken, so lags, the register count and
+the covered, dropped and unconstrained sets must be bit-identical.
+Every solution must also pass the output oracle
 (:func:`repro.retiming.verify.verify_drop_set`).
 """
 
@@ -19,8 +16,6 @@ from repro.corpus import load_corpus_circuit
 from repro.graphs import SCCIndex, build_circuit_graph
 from repro.partition import assign_cbit, make_group
 from repro.retiming.solve import (
-    max_coverage_retiming,
-    max_coverage_retiming_reference,
     solve_cut_retiming,
     solve_cut_retiming_reference,
 )
@@ -37,18 +32,14 @@ def _cut_problem(name):
 
 
 def _assert_identical(graph, cuts):
-    for solve, reference in (
-        (solve_cut_retiming, solve_cut_retiming_reference),
-        (max_coverage_retiming, max_coverage_retiming_reference),
-    ):
-        sol = solve(graph, cuts)
-        ref = reference(graph, cuts)
-        assert sol.retiming.rho == ref.retiming.rho
-        assert sol.registers == ref.registers
-        assert sol.covered_cuts == ref.covered_cuts
-        assert sol.dropped_cuts == ref.dropped_cuts
-        assert sol.unconstrained_cuts == ref.unconstrained_cuts
-        assert verify_drop_set(graph, cuts, sol) is None
+    sol = solve_cut_retiming(graph, cuts)
+    ref = solve_cut_retiming_reference(graph, cuts)
+    assert sol.retiming.rho == ref.retiming.rho
+    assert sol.registers == ref.registers
+    assert sol.covered_cuts == ref.covered_cuts
+    assert sol.dropped_cuts == ref.dropped_cuts
+    assert sol.unconstrained_cuts == ref.unconstrained_cuts
+    assert verify_drop_set(graph, cuts, sol) is None
     return sol
 
 
@@ -67,7 +58,8 @@ def test_bit_identical_on_corpus_seed_slow(name):
 
 def test_bit_identical_where_cuts_are_dropped():
     """corpus-coupled1k's ring-to-logic coupling starves some cuts, so
-    the solvers cancel cycles — and still agree bit for bit."""
+    the descent takes more than one step — and still agrees with the
+    twin bit for bit."""
     sol = _assert_identical(*_cut_problem("corpus-coupled1k"))
     assert sol.dropped_cuts, "coupled spec should starve some cuts"
     assert sol.iterations > 1

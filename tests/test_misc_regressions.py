@@ -7,7 +7,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.flow import saturate_network
 from repro.graphs import SCCIndex, build_circuit_graph, compile_graph
 from repro.partition import CutState, make_group
-from repro.retiming import max_coverage_retiming
+from repro.retiming import solve_cut_retiming
 
 
 class TestForcedNetsExcludedFromLevels:
@@ -83,7 +83,7 @@ class TestSolverOnPipelines:
         nl.validate()
         g = build_circuit_graph(nl, with_po_nodes=True)
         # want the register on the very first net instead of the last
-        sol = max_coverage_retiming(g, ["g0"])
+        sol = solve_cut_retiming(g, ["g0"])
         assert "g0" in sol.covered_cuts
         from repro.retiming import apply_retiming, trace_to_driver
 
