@@ -56,8 +56,8 @@ def run_flow_vs_sa():
                 flow.n_partitions,
                 flow.area.n_cut_nets,
                 round(t_flow, 2),
-                len(sa.partition.cut_nets()),
-                "yes" if sa.partition.is_feasible() else "NO",
+                len(sa.cut_nets()),
+                "yes" if sa.is_feasible() else "NO",
                 round(t_sa, 2),
             )
         )

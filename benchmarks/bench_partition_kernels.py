@@ -11,13 +11,16 @@ full cut set — the production descent after the compiled path, its
 network-simplex twin after the reference path.
 
 Saturation is run once up front and its flow state restored before each
-run, so the comparison times exactly the partition kernels.  The bench
-asserts the two paths are **bit-identical** (same clusters, cuts, merge
-choices, lags, register count, covered and dropped cuts; the solver's
-step and pivot counts differ) AND that the compiled ``make_group`` +
-``assign_cbit`` is at least :data:`MIN_SPEEDUP` times faster.  The
-retiming seconds are printed only; ``scripts/bench_trend.py`` tracks
-the production solve's work in ``BENCH_partition.json``.
+run, so the comparison times exactly the partition kernels.  Each path's
+``make_group`` + ``assign_cbit`` time is the fastest of :data:`ROUNDS`
+runs, and the paths alternate which runs first, so one slow moment on a
+shared host does not decide the gate.  The bench asserts the two paths
+are **bit-identical** (same clusters, cuts, merge choices, lags,
+register count, covered and dropped cuts; the solver's step and pivot
+counts differ) AND that the compiled ``make_group`` + ``assign_cbit`` is
+at least :data:`MIN_SPEEDUP` times faster.  The retiming seconds are
+printed only; ``scripts/bench_trend.py`` tracks the production solve's
+work in ``BENCH_partition.json``.
 """
 
 import time
@@ -33,10 +36,13 @@ from repro.retiming.solve import (
     solve_cut_retiming_reference,
 )
 
-#: Below every one of twelve measurements on s5378 (1.6–3.5×, median
-#: 2.66×; shared 2-CPU Xeon, Python 3.11.7), so host noise does not
-#: fire the gate but compiled kernels about a third slower do.
+#: Below every one of twelve single-round measurements on s5378
+#: (1.6–3.5×, median 2.66×; shared 2-CPU Xeon, Python 3.11.7) and of
+#: six fastest-of-:data:`ROUNDS` ones (2.29–2.39×), so host noise does
+#: not fire the gate but compiled kernels about a third slower do.
 MIN_SPEEDUP = 1.5
+#: Timed runs per path; each path is charged its fastest.
+ROUNDS = 3
 CIRCUIT = "s5378"  # largest circuit bundled in the default bench set
 LK = 16
 
@@ -65,6 +71,24 @@ def run_partition(graph, scc_index, config, snap, use_compiled):
     )
     merged = assign_cbit(group.partition, use_compiled=use_compiled)
     return group, merged, time.perf_counter() - t0
+
+
+def time_partition(graph, scc_index, config, snap):
+    """Both paths, :data:`ROUNDS` times, alternating which runs first.
+
+    Returns each path's last ``(group, merged)`` keyed by ``use_compiled``
+    and the per-round seconds as ``[{use_compiled: seconds}]``.
+    """
+    outputs, rounds = {}, []
+    for r in range(ROUNDS):
+        seconds = {}
+        for use_compiled in (True, False) if r % 2 == 0 else (False, True):
+            group, merged, seconds[use_compiled] = run_partition(
+                graph, scc_index, config, snap, use_compiled
+            )
+            outputs[use_compiled] = (group, merged)
+        rounds.append(seconds)
+    return outputs, rounds
 
 
 def run_retiming(graph, merged, solve):
@@ -111,17 +135,17 @@ def test_partition_kernel_speedup(benchmark):
         rounds=1,
         iterations=1,
     )
-    group, merged, compiled_seconds = run_partition(
-        graph, scc_index, config, snap, True
-    )
+    outputs, rounds = time_partition(graph, scc_index, config, snap)
+    compiled_seconds = min(r[True] for r in rounds)
+    reference_seconds = min(r[False] for r in rounds)
+
+    group, merged = outputs[True]
     solution, compiled_retime = run_retiming(
         graph, merged, solve_cut_retiming
     )
     compiled = payload(group, merged, solution)
 
-    group, merged, reference_seconds = run_partition(
-        graph, scc_index, config, snap, False
-    )
+    group, merged = outputs[False]
     solution, reference_retime = run_retiming(
         graph, merged, solve_cut_retiming_reference
     )
@@ -157,7 +181,11 @@ def test_partition_kernel_speedup(benchmark):
     print()
     print(
         f"{CIRCUIT} make_group + assign_cbit (post-saturation, l_k={LK}, "
-        f"{len(compiled['cut'])} cuts, {compiled['n_splits']} splits), "
-        f"then retiming on all {len(compiled['cut_nets'])} merged cuts:\n"
-        + table
+        f"{len(compiled['cut'])} cuts, {compiled['n_splits']} splits; "
+        f"fastest of {ROUNDS} rounds), then retiming on all "
+        f"{len(compiled['cut_nets'])} merged cuts:\n" + table
+    )
+    print(
+        "rounds (compiled s / reference s): "
+        + ", ".join(f"{r[True]:.3f}/{r[False]:.3f}" for r in rounds)
     )

@@ -12,8 +12,8 @@ JSON renderers, severity thresholds, per-rule suppression):
 * the **code analyzer** (:func:`analyze_paths`, ``merced lint-code``)
   parses the source tree once per file and runs two rule families
   behind a committed-baseline CI gate: the kernel rules
-  (:func:`lint_source`, ``KRN001``–``KRN004``) enforce the
-  determinism/pairing invariants the compiled kernels rely on, and the
+  (``KRN001``–``KRN004``) enforce the determinism/pairing invariants
+  the compiled kernels rely on, and the
   concurrency rules build per-function CFGs, lock dataflow and
   call-graph blocking summaries to check the async/thread/signal
   hazards (``CONC001``–``CONC006``).
@@ -23,7 +23,6 @@ from .diagnostics import (
     SEVERITIES,
     Diagnostic,
     DiagnosticReport,
-    merge_reports,
     severity_at_least,
 )
 from .lint import (
@@ -41,7 +40,6 @@ from .rules import Rule, RuleContext, rule, rule_catalog
 _LAZY = {
     "HOT_DIRS": "kernel_lint",
     "KERNEL_RULES": "kernel_lint",
-    "lint_source": "kernel_lint",
     "CONC_RULES": "concurrency",
     "analyze_paths": "concurrency",
     "run_concurrency_rules": "concurrency",
@@ -52,7 +50,6 @@ __all__ = [
     "SEVERITIES",
     "Diagnostic",
     "DiagnosticReport",
-    "merge_reports",
     "severity_at_least",
     "Rule",
     "RuleContext",
@@ -68,7 +65,6 @@ __all__ = [
     "scc_cut_lower_bound",
     "HOT_DIRS",
     "KERNEL_RULES",
-    "lint_source",
     "CONC_RULES",
     "analyze_paths",
     "run_concurrency_rules",

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 __all__ = [
     "SEVERITIES",
     "severity_at_least",
     "Diagnostic",
     "DiagnosticReport",
-    "merge_reports",
 ]
 
 #: Recognized severities, weakest first.  The index is the ordering.
@@ -132,11 +131,6 @@ class DiagnosticReport:
         return tuple(d for d in self.diagnostics if d.severity == "info")
 
     @property
-    def clean(self) -> bool:
-        """``True`` when no finding of any severity was produced."""
-        return not self.diagnostics
-
-    @property
     def has_errors(self) -> bool:
         """``True`` when at least one error-severity finding exists."""
         return any(d.severity == "error" for d in self.diagnostics)
@@ -226,23 +220,3 @@ class DiagnosticReport:
     def render_json(self) -> str:
         """JSON rendering of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), indent=2)
-
-
-def merge_reports(
-    subject: str, reports: Iterable[DiagnosticReport]
-) -> DiagnosticReport:
-    """Concatenate several reports into one (rules deduped by id)."""
-    diags: List[Diagnostic] = []
-    rules: List[object] = []
-    seen = set()
-    for rep in reports:
-        diags.extend(rep.diagnostics)
-        for r in rep.rules_checked:
-            if r.rule_id not in seen:
-                seen.add(r.rule_id)
-                rules.append(r)
-    return DiagnosticReport(
-        subject=subject,
-        diagnostics=tuple(diags),
-        rules_checked=tuple(rules),
-    )

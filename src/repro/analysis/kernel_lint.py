@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .diagnostics import Diagnostic
 from .rules import Rule
@@ -36,7 +36,6 @@ from .rules import Rule
 __all__ = [
     "KERNEL_RULES",
     "HOT_DIRS",
-    "lint_source",
     "lint_tree",
     "cross_check_references",
 ]
@@ -352,19 +351,6 @@ class _KernelVisitor(ast.NodeVisitor):
                 self.reference_defs.append((target.id, target.lineno))
                 self.reference_mentions.add(target.id)
         self.generic_visit(node)
-
-
-def lint_source(
-    code: str, path: str
-) -> Tuple[List[Diagnostic], List[Tuple[str, int]]]:
-    """Lint one module's source; returns (diagnostics, reference defs).
-
-    Parses ``code`` and hands the tree to :func:`lint_tree` — use that
-    directly when the caller (the shared engine in
-    :mod:`repro.analysis.concurrency.engine`) already holds a parse.
-    """
-    tree = ast.parse(code, filename=path)
-    return lint_tree(tree, code, path)
 
 
 def lint_tree(

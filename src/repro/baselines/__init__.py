@@ -1,6 +1,6 @@
 """Comparison baselines: SA partitioning [4], partial scan [2][3], PET [7]."""
 
-from .annealing import AnnealingResult, anneal_partition
+from .annealing import anneal_partition
 from .partial_scan import (
     PartialScanResult,
     SCAN_MUX_UNITS,
@@ -11,7 +11,6 @@ from .partial_scan import (
 from .pet import PETComparison, compare_pet_ppet
 
 __all__ = [
-    "AnnealingResult",
     "anneal_partition",
     "PartialScanResult",
     "SCAN_MUX_UNITS",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from ..config import MercedConfig
@@ -25,26 +24,11 @@ from ..graphs.digraph import CircuitGraph, NodeKind
 from ..graphs.scc import SCCIndex
 from ..partition.clusters import Cluster, Partition, cluster_input_nets
 
-__all__ = ["AnnealingResult", "anneal_partition"]
+__all__ = ["anneal_partition"]
 
 #: Geometric cooling schedule: start and end temperatures.
 _T_START = 5.0
 _T_END = 0.05
-
-
-@dataclass
-class AnnealingResult:
-    """Outcome of :func:`anneal_partition`."""
-
-    partition: Partition
-    cost_trace: List[float]
-    n_moves: int
-    n_accepted: int
-    final_temperature: float
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.n_accepted / self.n_moves if self.n_moves else 0.0
 
 
 class _State:
@@ -100,7 +84,7 @@ def anneal_partition(
     config: Optional[MercedConfig] = None,
     n_steps: int = 4000,
     scc_index: Optional[SCCIndex] = None,
-) -> AnnealingResult:
+) -> Partition:
     """Partition ``graph`` into ``m`` blocks by simulated annealing.
 
     Args:
@@ -114,9 +98,8 @@ def anneal_partition(
             temperature 5.0 to 0.05).
 
     Returns:
-        An :class:`AnnealingResult` whose partition may violate Eq. 5 if
-        the annealer could not reach feasibility — check
-        ``result.partition.is_feasible()``.
+        The partition, which may violate Eq. 5 if the annealer could not
+        reach feasibility — check ``partition.is_feasible()``.
     """
     config = config or MercedConfig()
     if m < 1:
@@ -133,8 +116,6 @@ def anneal_partition(
     temp = _T_START
     penalty = 2.0
     current = state.cost(config.lk, penalty)
-    trace = [current]
-    accepted = 0
     for step in range(n_steps):
         node = nodes[rng.randrange(len(nodes))]
         target = rng.randrange(m)
@@ -147,10 +128,8 @@ def anneal_partition(
         delta = candidate - current
         if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
             current = candidate
-            accepted += 1
         else:
             state.move(node, old)
-        trace.append(current)
         temp *= alpha
 
     clusters = [
@@ -162,13 +141,4 @@ def anneal_partition(
         Cluster(cluster_id=i, nodes=c.nodes, input_nets=c.input_nets)
         for i, c in enumerate(clusters)
     ]
-    partition = Partition(
-        graph, clusters, lk=config.lk, scc_index=scc_index
-    )
-    return AnnealingResult(
-        partition=partition,
-        cost_trace=trace,
-        n_moves=n_steps,
-        n_accepted=accepted,
-        final_temperature=temp,
-    )
+    return Partition(graph, clusters, lk=config.lk, scc_index=scc_index)

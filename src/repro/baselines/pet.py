@@ -36,13 +36,6 @@ class PETComparison:
         """How much faster PPET finishes than sequential PET."""
         return self.pet_cycles / self.ppet_cycles if self.ppet_cycles else 1.0
 
-    @property
-    def hardware_ratio(self) -> float:
-        """PPET hardware relative to the single shared PET generator."""
-        if self.pet_tpg_cost_dff == 0:
-            return 1.0
-        return self.ppet_cbit_cost_dff / self.pet_tpg_cost_dff
-
 
 def compare_pet_ppet(partition: Partition, plan: CBITPlan) -> PETComparison:
     """Build the PET-vs-PPET time/hardware comparison for one partition.

@@ -1,35 +1,29 @@
 """CBIT hardware models: A_CELLs, LFSR/MISR registers, the Table 1 catalogue."""
 
-from .acell import ACell, ACellVariant, acell_area_dff, acell_area_units
+from .acell import ACellVariant, acell_area_dff
 from .assemble import CBITAssignment, CBITPlan, assemble_cbits
 from .insert import BISTCircuit, insert_test_hardware
 from .lfsr import LFSR
-from .misr import MISR, CBITMode, CBITRegister, aliasing_probability
+from .misr import MISR
 from .polynomials import (
     MAXIMAL_LFSR_TAPS,
     feedback_taps,
-    find_primitive,
     is_irreducible,
     is_primitive,
     poly_degree,
-    poly_weight,
     primitive_polynomial,
 )
 from .types import (
     CBITType,
     PAPER_CBIT_TYPES,
     cbit_cost_for_inputs,
-    cbit_type_by_name,
     estimate_cbit_area_dff,
     smallest_type_for,
-    testing_time_cycles,
 )
 
 __all__ = [
-    "ACell",
     "ACellVariant",
     "acell_area_dff",
-    "acell_area_units",
     "CBITAssignment",
     "CBITPlan",
     "assemble_cbits",
@@ -37,22 +31,15 @@ __all__ = [
     "insert_test_hardware",
     "LFSR",
     "MISR",
-    "CBITMode",
-    "CBITRegister",
-    "aliasing_probability",
     "MAXIMAL_LFSR_TAPS",
     "feedback_taps",
-    "find_primitive",
     "is_irreducible",
     "is_primitive",
     "poly_degree",
-    "poly_weight",
     "primitive_polynomial",
     "CBITType",
     "PAPER_CBIT_TYPES",
     "cbit_cost_for_inputs",
-    "cbit_type_by_name",
     "estimate_cbit_area_dff",
     "smallest_type_for",
-    "testing_time_cycles",
 ]

@@ -19,8 +19,6 @@ variants appear in the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Tuple
 
 from ..netlist.area import (
     ACELL_AREA_UNITS,
@@ -28,9 +26,8 @@ from ..netlist.area import (
     ACELL_RETIMED_EXTRA_UNITS,
     DFF_AREA_UNITS,
 )
-from ..netlist.gates import GateType
 
-__all__ = ["ACellVariant", "ACell", "acell_area_units", "acell_area_dff"]
+__all__ = ["ACellVariant", "acell_area_dff"]
 
 
 class ACellVariant(enum.Enum):
@@ -48,36 +45,6 @@ _VARIANT_AREA = {
 }
 
 
-def acell_area_units(variant: ACellVariant) -> int:
-    """Added area in abstract units for one A_CELL of the given variant."""
-    return _VARIANT_AREA[variant]
-
-
 def acell_area_dff(variant: ACellVariant) -> float:
     """Added area in DFF equivalents (the paper's 1.9 / 0.9 / 2.3)."""
     return _VARIANT_AREA[variant] / DFF_AREA_UNITS
-
-
-@dataclass(frozen=True)
-class ACell:
-    """One test register instance placed on a cut net."""
-
-    net: str  # the cut net this cell registers
-    variant: ACellVariant
-    moved_dff: str = ""  # for RETIMED: name of the functional DFF reused
-
-    @property
-    def area_units(self) -> int:
-        return acell_area_units(self.variant)
-
-    @property
-    def added_gates(self) -> Tuple[GateType, ...]:
-        """The gate complement added around the (new or reused) DFF."""
-        gates = (GateType.AND, GateType.NOR, GateType.XOR)
-        if self.variant is ACellVariant.MUXED:
-            return gates + (GateType.MUX2,)
-        return gates
-
-    @property
-    def needs_new_dff(self) -> bool:
-        return self.variant is not ACellVariant.RETIMED

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..errors import CBITError
 from ..partition.clusters import Partition
 from .types import CBITType, cbit_cost_for_inputs
 
@@ -45,18 +44,8 @@ class CBITPlan:
     assignments: Tuple[CBITAssignment, ...]
     total_cost_dff: float
 
-    @property
-    def n_cbits(self) -> int:
-        return sum(len(a.types) for a in self.assignments)
-
     def widest(self) -> int:
         return max((a.width for a in self.assignments), default=0)
-
-    def by_cluster(self, cluster_id: int) -> CBITAssignment:
-        for a in self.assignments:
-            if a.cluster_id == cluster_id:
-                return a
-        raise CBITError(f"no CBIT assigned to cluster {cluster_id}")
 
 
 def assemble_cbits(partition: Partition) -> CBITPlan:

@@ -57,7 +57,6 @@ class BISTCircuit:
     """The emitted test-ready netlist plus its bookkeeping."""
 
     netlist: Netlist
-    original_name: str
     converted_dffs: Tuple[str, ...]  # existing DFFs now inside CBITs
     cut_cells: Dict[str, str]  # cut net -> test register (DFF output)
     cbit_chains: Dict[int, Tuple[str, ...]]  # cluster -> register chain
@@ -343,7 +342,6 @@ def insert_test_hardware(
     out.validate()
     return BISTCircuit(
         netlist=out,
-        original_name=netlist.name,
         converted_dffs=tuple(converted),
         cut_cells=cut_cells,
         cbit_chains=cbit_chains,

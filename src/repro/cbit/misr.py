@@ -1,33 +1,18 @@
-"""MISR / dual-mode CBIT register simulation.
+"""MISR signature compaction.
 
-A CBIT is a cascadable multiple-input shift register with two operating
-modes (Section 1):
-
-* **TPG** — autonomous complete LFSR emitting all ``2^n`` patterns;
-* **PSA** — multiple-input signature register: each clock, the LFSR shift
-  is XORed bit-wise with the circuit-under-test response word, compacting
-  the response stream into an ``n``-bit signature.
-
-:class:`CBITRegister` models one CBIT switching between the two modes, plus
-the scan-chain access used for initialization and signature read-out.
+A CBIT in PSA mode is a multiple-input signature register: each clock,
+the LFSR shift is XORed bit-wise with the circuit-under-test response
+word, compacting the response stream into an ``n``-bit signature.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..errors import CBITError
-from .lfsr import LFSR
 from .polynomials import primitive_polynomial
 
-__all__ = ["CBITMode", "MISR", "CBITRegister", "aliasing_probability"]
-
-
-class CBITMode(enum.Enum):
-    TPG = "tpg"  # test pattern generation (autonomous LFSR)
-    PSA = "psa"  # parallel signature analysis (MISR)
-    SCAN = "scan"  # serial shift for init / read-out
+__all__ = ["MISR"]
 
 
 class MISR:
@@ -73,86 +58,3 @@ class MISR:
 
     def reset(self, seed: int = 0) -> None:
         self.state = seed & self._mask
-
-
-def aliasing_probability(width: int) -> float:
-    """Asymptotic MISR aliasing probability ``2^-width``.
-
-    For long response streams the probability that a faulty response
-    stream compacts to the fault-free signature approaches ``2^-n``.
-    """
-    if width < 1:
-        raise CBITError("width must be positive")
-    return 2.0 ** (-width)
-
-
-class CBITRegister:
-    """One cascadable built-in tester: dual-mode LFSR/MISR with scan access."""
-
-    def __init__(
-        self,
-        name: str,
-        width: int,
-        poly: Optional[int] = None,
-        seed: int = 1,
-    ):
-        if width < 2:
-            raise CBITError(f"CBIT width must be >= 2, got {width}")
-        self.name = name
-        self.width = width
-        self.poly = poly if poly is not None else primitive_polynomial(width)
-        self._mask = (1 << width) - 1
-        self.mode = CBITMode.TPG
-        self._lfsr = LFSR(width, poly=self.poly, seed=seed, complete=True)
-        self._misr = MISR(width, poly=self.poly, seed=seed)
-
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> int:
-        return (
-            self._lfsr.state if self.mode is CBITMode.TPG else self._misr.state
-        )
-
-    def set_mode(self, mode: CBITMode) -> None:
-        """Switch mode, carrying the register state across."""
-        current = self.state
-        self.mode = mode
-        self._lfsr.state = current
-        self._misr.state = current
-
-    def load(self, value: int) -> None:
-        """Parallel initialization (modelling the global scan preload)."""
-        self._lfsr.state = value & self._mask
-        self._misr.state = value & self._mask
-
-    def clock(self, response_word: int = 0) -> int:
-        """Advance one test clock.
-
-        In TPG mode the response word is ignored (the CBIT runs
-        autonomously); in PSA mode it is compacted into the signature.
-        """
-        if self.mode is CBITMode.TPG:
-            return self._lfsr.step()
-        if self.mode is CBITMode.PSA:
-            return self._misr.absorb(response_word)
-        raise CBITError("clock() is undefined in SCAN mode; use scan_shift()")
-
-    def scan_shift(self, scan_in: int = 0) -> int:
-        """Serial shift by one bit; returns the bit shifted out (MSB)."""
-        state = self.state
-        out = (state >> (self.width - 1)) & 1
-        state = ((state << 1) | (scan_in & 1)) & self._mask
-        self.load(state)
-        return out
-
-    def patterns(self, n: Optional[int] = None) -> Iterator[int]:
-        """TPG pattern stream (all ``2^width`` patterns by default)."""
-        if self.mode is not CBITMode.TPG:
-            raise CBITError("patterns() requires TPG mode")
-        return self._lfsr.sequence(n)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<CBIT {self.name}: width={self.width}, mode={self.mode.value}, "
-            f"state={self.state:#x}>"
-        )

@@ -26,13 +26,11 @@ __all__ = [
     "MAXIMAL_LFSR_TAPS",
     "primitive_polynomial",
     "poly_degree",
-    "poly_weight",
     "feedback_taps",
     "poly_mul_mod",
     "poly_pow_mod",
     "is_irreducible",
     "is_primitive",
-    "find_primitive",
 ]
 
 #: Maximal-length LFSR tap positions per register length (degree).  Each
@@ -95,11 +93,6 @@ def primitive_polynomial(degree: int) -> int:
 def poly_degree(poly: int) -> int:
     """Degree of a GF(2) polynomial (``-1`` for the zero polynomial)."""
     return poly.bit_length() - 1
-
-
-def poly_weight(poly: int) -> int:
-    """Number of non-zero coefficients."""
-    return bin(poly).count("1")
 
 
 def feedback_taps(poly: int) -> List[int]:
@@ -201,28 +194,3 @@ def is_primitive(poly: int) -> bool:
         if poly_pow_mod(x, order // q, poly) == 1:
             return False
     return True
-
-
-def find_primitive(degree: int, max_weight: int = 7) -> int:
-    """Search for a minimal-weight primitive polynomial of ``degree``.
-
-    Enumerates candidate tap sets by increasing weight; used to validate
-    (and, if ever needed, regenerate) :data:`MAXIMAL_LFSR_TAPS`.
-    """
-    from itertools import combinations
-
-    if degree < 2:
-        raise CBITError("degree must be at least 2")
-    base = (1 << degree) | 1
-    for weight in range(3, max_weight + 1):
-        n_taps = weight - 2
-        for taps in combinations(range(1, degree), n_taps):
-            poly = base
-            for t in taps:
-                poly |= 1 << t
-            if is_primitive(poly):
-                return poly
-    raise CBITError(
-        f"no primitive polynomial of degree {degree} with weight "
-        f"<= {max_weight} found"
-    )

@@ -15,7 +15,7 @@ for arbitrary lengths; the bench for Table 1 prints both side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..errors import CBITError
 from ..netlist.area import ACELL_AREA_UNITS, DFF_AREA_UNITS
@@ -25,10 +25,8 @@ from .polynomials import feedback_taps, primitive_polynomial
 __all__ = [
     "CBITType",
     "PAPER_CBIT_TYPES",
-    "cbit_type_by_name",
     "smallest_type_for",
     "estimate_cbit_area_dff",
-    "testing_time_cycles",
     "cbit_cost_for_inputs",
 ]
 
@@ -62,17 +60,6 @@ PAPER_CBIT_TYPES: Tuple[CBITType, ...] = (
     CBITType("d6", 32, 63.12),
 )
 
-_BY_NAME: Dict[str, CBITType] = {t.name: t for t in PAPER_CBIT_TYPES}
-_BY_LENGTH: Dict[int, CBITType] = {t.length: t for t in PAPER_CBIT_TYPES}
-
-
-def cbit_type_by_name(name: str) -> CBITType:
-    """Look up a Table 1 CBIT type (``"d1"`` .. ``"d6"``) by name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise CBITError(f"unknown CBIT type {name!r}") from None
-
 
 def smallest_type_for(width: int) -> CBITType:
     """Smallest catalogue type whose length covers ``width`` inputs."""
@@ -105,13 +92,6 @@ def estimate_cbit_area_dff(length: int) -> float:
         + gate_area_units(GateType.NOR, 2)
     )
     return units / DFF_AREA_UNITS
-
-
-def testing_time_cycles(length: int) -> int:
-    """Pseudo-exhaustive testing time of a width-``length`` CBIT: 2^length."""
-    if length < 0:
-        raise CBITError("length must be non-negative")
-    return 1 << length
 
 
 def cbit_cost_for_inputs(n_inputs: int) -> Tuple[float, List[CBITType]]:

@@ -129,11 +129,6 @@ class MercedConfig:
                 f"optimize_budget must be positive, got {self.optimize_budget}"
             )
 
-    @property
-    def average_flow_bound_ok(self) -> bool:
-        """Section 4.1 guidance: ``min_visit × Δ ≤ b`` keeps flows below cap."""
-        return self.min_visit * self.delta <= self.cap
-
     def with_lk(self, lk: int) -> "MercedConfig":
         """Copy of this configuration with a different input bound."""
         return replace(self, lk=lk)

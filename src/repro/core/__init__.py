@@ -8,8 +8,6 @@ from .report import (
     render_sweep_beta,
     render_sweep_lk,
     render_table10_11,
-    render_table12,
-    render_table9,
 )
 from .result import MercedReport, PartitionRow
 from .sweep import (
@@ -34,8 +32,6 @@ __all__ = [
     "render_sweep_beta",
     "render_sweep_lk",
     "render_table10_11",
-    "render_table12",
-    "render_table9",
     "MercedReport",
     "PartitionRow",
     "BetaSweepRow",

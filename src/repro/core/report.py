@@ -4,15 +4,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from ..netlist.netlist import CircuitStats
-from .cost import CBITAreaComparison
 from .result import PartitionRow
 
 __all__ = [
     "format_table",
-    "render_table9",
     "render_table10_11",
-    "render_table12",
     "render_sweep_lk",
     "render_sweep_beta",
     "render_seed_stability",
@@ -37,16 +33,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.1f}" if abs(v) >= 0.05 or v == 0 else f"{v:.3f}"
     return str(v)
-
-
-def render_table9(stats: Iterable[CircuitStats]) -> str:
-    """Circuit statistics table (paper Table 9)."""
-    headers = ["Circuit", "PIs", "DFFs", "Gates", "INVs", "Area"]
-    rows = [
-        (s.name, s.n_inputs, s.n_dffs, s.n_gates, s.n_inverters, s.area_units)
-        for s in stats
-    ]
-    return format_table(headers, rows)
 
 
 def render_table10_11(rows: Iterable[PartitionRow], lk: int) -> str:
@@ -161,28 +147,3 @@ def render_seed_stability(pairs: Iterable[Tuple[str, object]]) -> str:
         else:
             body.append((circuit, 0, "-", "-", "-", len(st.failures)))
     return format_table(headers, body)
-
-
-def render_table12(
-    comparisons: Iterable[Tuple[CBITAreaComparison, CBITAreaComparison]]
-) -> str:
-    """CBIT-area comparison table (paper Table 12): (lk16, lk24) pairs."""
-    headers = [
-        "Circuit",
-        "lk16 w/ ret (%)",
-        "lk16 w/o ret (%)",
-        "lk24 w/ ret (%)",
-        "lk24 w/o ret (%)",
-    ]
-    rows = []
-    for c16, c24 in comparisons:
-        rows.append(
-            (
-                c16.circuit,
-                c16.pct_with_retiming,
-                c16.pct_without_retiming,
-                c24.pct_with_retiming,
-                c24.pct_without_retiming,
-            )
-        )
-    return format_table(headers, rows)

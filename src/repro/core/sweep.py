@@ -235,7 +235,6 @@ class SeedStability:
 
     seeds: tuple
     cut_counts: tuple
-    cost_dffs: tuple
     failures: Tuple[SweepErrorRow, ...] = field(default=())
 
     @property
@@ -277,7 +276,6 @@ def stability_from_results(
     """Summarize per-seed ``merced`` results into a :class:`SeedStability`."""
     ok_seeds: List[int] = []
     cuts: List[int] = []
-    costs: List[float] = []
     failures: List[SweepErrorRow] = []
     for seed, result in zip(seeds, results):
         if not result.ok:
@@ -285,10 +283,8 @@ def stability_from_results(
             continue
         ok_seeds.append(seed)
         cuts.append(result.value["n_cut_nets"])
-        costs.append(result.value["cost_dff"])
     return SeedStability(
         seeds=tuple(ok_seeds),
         cut_counts=tuple(cuts),
-        cost_dffs=tuple(costs),
         failures=tuple(failures),
     )

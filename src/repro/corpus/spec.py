@@ -162,17 +162,6 @@ class CorpusSpec:
             out[f.name] = getattr(self, f.name)
         return out
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "CorpusSpec":
-        """Inverse of :meth:`as_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise NetlistError(
-                f"unknown CorpusSpec field(s): {sorted(unknown)}"
-            )
-        return cls(**payload)
-
     def with_(self, **overrides) -> "CorpusSpec":
         """A copy with ``overrides`` applied (shrinking/fuzz helper)."""
         return replace(self, **overrides)

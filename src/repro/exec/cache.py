@@ -23,8 +23,8 @@ re-execute on the next run (the failure may have been transient, and
 
 Invalidation is entirely key-side (see :mod:`repro.exec.hashing`): a
 changed netlist, configuration, or code version simply hashes to a new
-key.  Stale entries are garbage, never wrong answers; :meth:`ResultCache.purge`
-drops them wholesale.
+key.  Stale entries are garbage, never wrong answers; deleting the cache
+directory drops them wholesale.
 """
 
 from __future__ import annotations
@@ -185,17 +185,6 @@ class ResultCache:
         """Number of entries currently on disk."""
         return sum(1 for _ in Path(self.directory).glob("*/*.json"))
 
-    def purge(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        n = 0
-        for path in Path(self.directory).glob("*/*.json"):
-            try:
-                path.unlink()
-                n += 1
-            except OSError:
-                pass
-        return n
-
     def flush(self, min_age_s: float = 0.0) -> int:
         """Remove orphaned ``.tmp-*`` files; returns how many were removed.
 
@@ -352,12 +341,6 @@ class HotCache:
         """Number of resident entries."""
         with self._lock:
             return len(self._entries)
-
-    @property
-    def payload_bytes(self) -> int:
-        """Summed size of the resident payload bytes."""
-        with self._lock:
-            return self._bytes
 
     def as_dict(self) -> Dict[str, object]:
         """Stats + occupancy snapshot (for ``/metrics``).

@@ -28,7 +28,6 @@ __all__ = [
     "code_version",
     "config_fingerprint",
     "point_key",
-    "point_key_strict",
     "short_key",
 ]
 
@@ -63,37 +62,14 @@ def config_fingerprint(config: MercedConfig) -> Dict[str, object]:
     return config.canonical_dict()
 
 
-def point_key(point: SweepPoint, code: Optional[str] = None) -> str:
+def point_key(point: SweepPoint, code: str) -> str:
     """SHA-256 cache key of a sweep point.
 
-    Falls back to :func:`code_version` when ``code`` is omitted — which
-    reads every package source file on the first call, so event-loop
-    code must use :func:`point_key_strict` with a pre-computed digest
-    instead (the services hash the tree once, off-loop, at start-up).
-
-    Args:
-        point: the point to fingerprint.
-        code: override for :func:`code_version` (tests use this to
-            simulate code changes without editing sources).
+    Pure CPU — no filesystem access — and therefore safe to call on an
+    event loop: ``code`` is a :func:`code_version` digest the caller
+    computed once (the service hashes the tree off-loop at start-up), or
+    a test override that simulates a code change without editing sources.
     """
-    return point_key_strict(
-        point, code if code is not None else code_version()
-    )
-
-
-def point_key_strict(point: SweepPoint, code: str) -> str:
-    """SHA-256 cache key of a sweep point with an explicit code digest.
-
-    Pure CPU — no filesystem fallback — and therefore safe to call on
-    an event loop.  ``code`` must be a previously computed
-    :func:`code_version` digest (or a test override); passing ``None``
-    is a programming error.
-    """
-    if code is None:
-        raise ValueError(
-            "point_key_strict requires a code digest; compute "
-            "code_version() off-loop first"
-        )
     material = {
         "kind": point.kind,
         "circuit": point.circuit,

@@ -1,10 +1,9 @@
-"""Stuck-at fault substrate: model, collapsing, simulation, coverage."""
+"""Stuck-at fault substrate: model, collapsing, coverage, SCOAP."""
 
 from .model import StuckAtFault, fault_masks, full_fault_list
 from .collapse import CollapseResult, collapse_faults
-from .fsim import FaultSimResult, detecting_patterns, simulate_faults
-from .coverage import CoverageReport, merge_coverage
-from .scoap import ScoapNumbers, compute_scoap, hardest_sites
+from .coverage import CoverageReport
+from .scoap import ScoapNumbers, compute_scoap
 
 __all__ = [
     "StuckAtFault",
@@ -12,12 +11,7 @@ __all__ = [
     "full_fault_list",
     "CollapseResult",
     "collapse_faults",
-    "FaultSimResult",
-    "detecting_patterns",
-    "simulate_faults",
     "CoverageReport",
-    "merge_coverage",
     "ScoapNumbers",
     "compute_scoap",
-    "hardest_sites",
 ]

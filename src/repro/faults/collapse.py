@@ -32,11 +32,6 @@ class CollapseResult:
     representatives: List[StuckAtFault]
     class_of: Dict[StuckAtFault, StuckAtFault]  # fault -> its representative
 
-    @property
-    def collapse_ratio(self) -> float:
-        total = len(self.class_of)
-        return len(self.representatives) / total if total else 1.0
-
     def expand(self, detected: Iterable[StuckAtFault]) -> Set[StuckAtFault]:
         """All faults whose representative is in ``detected``."""
         det = set(detected)

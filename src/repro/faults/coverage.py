@@ -7,7 +7,7 @@ from typing import Dict, Iterable, Set, Tuple
 
 from .model import StuckAtFault
 
-__all__ = ["CoverageReport", "merge_coverage"]
+__all__ = ["CoverageReport"]
 
 
 @dataclass
@@ -48,19 +48,3 @@ class CoverageReport:
             lines.append(f"  segment {seg:>4}: {d:>6}/{t:<6} = {pct:6.2f}%")
         return "\n".join(lines)
 
-
-def merge_coverage(reports: Iterable[CoverageReport]) -> CoverageReport:
-    """Union several reports (a fault detected anywhere counts detected).
-
-    Segment entries are re-keyed sequentially to avoid id collisions
-    between reports.
-    """
-    merged = CoverageReport()
-    next_key = 0
-    for r in reports:
-        merged.detected |= r.detected
-        merged.total |= r.total
-        for _seg, dt in sorted(r.per_segment.items()):
-            merged.per_segment[next_key] = dt
-            next_key += 1
-    return merged

@@ -27,7 +27,7 @@ from ..netlist.netlist import Netlist
 from ..sim.levelize import levelize
 from .model import StuckAtFault
 
-__all__ = ["ScoapNumbers", "compute_scoap", "hardest_sites"]
+__all__ = ["ScoapNumbers", "compute_scoap"]
 
 #: SCOAP's conventional "infinite" (untestable) sentinel.
 INF = 10**9
@@ -158,16 +158,3 @@ def compute_scoap(
                 co[sig] = cand
     return ScoapNumbers(cc0=cc0, cc1=cc1, co=co)
 
-
-def hardest_sites(
-    netlist: Netlist, top: int = 10, observe: Optional[Sequence[str]] = None
-) -> List[Tuple[StuckAtFault, int]]:
-    """The ``top`` hardest stuck-at faults by SCOAP detection effort."""
-    numbers = compute_scoap(netlist, observe=observe)
-    ranked: List[Tuple[StuckAtFault, int]] = []
-    for sig in numbers.cc0:
-        for v in (0, 1):
-            fault = StuckAtFault(sig, v)
-            ranked.append((fault, numbers.difficulty(fault)))
-    ranked.sort(key=lambda fd: (-fd[1], fd[0]))
-    return ranked[:top]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .csr import KIND_REGISTER, CompiledGraph, compile_graph
-from .digraph import CircuitGraph, NodeKind
+from .digraph import CircuitGraph
 
 __all__ = [
     "strongly_connected_components",

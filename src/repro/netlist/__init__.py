@@ -4,7 +4,6 @@ from .gates import (
     GateType,
     DFF_AREA_UNITS,
     gate_area_units,
-    evaluate_gate,
     parse_gate_type,
 )
 from .cells import Cell
@@ -17,25 +16,15 @@ from .area import (
     ACELL_FACTOR,
     ACELL_RETIMED_FACTOR,
     ACELL_MUXED_FACTOR,
-    AreaBreakdown,
-    area_breakdown,
-    area_in_dff,
     circuit_area_units,
 )
-from .transform import (
-    bypass_dff,
-    count_dffs_between,
-    fresh_signal_name,
-    insert_dff_on_net,
-    retarget_readers,
-)
+from .transform import fresh_signal_name
 from .verilog import write_verilog, write_verilog_file
 
 __all__ = [
     "GateType",
     "DFF_AREA_UNITS",
     "gate_area_units",
-    "evaluate_gate",
     "parse_gate_type",
     "Cell",
     "Netlist",
@@ -50,15 +39,8 @@ __all__ = [
     "ACELL_FACTOR",
     "ACELL_RETIMED_FACTOR",
     "ACELL_MUXED_FACTOR",
-    "AreaBreakdown",
-    "area_breakdown",
-    "area_in_dff",
     "circuit_area_units",
-    "bypass_dff",
-    "count_dffs_between",
     "fresh_signal_name",
-    "insert_dff_on_net",
-    "retarget_readers",
     "write_verilog",
     "write_verilog_file",
 ]

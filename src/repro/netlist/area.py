@@ -16,8 +16,6 @@ and the DFF-relative factors quoted in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gates import DFF_AREA_UNITS, GateType, gate_area_units
 from .netlist import Netlist
 
@@ -30,9 +28,6 @@ __all__ = [
     "ACELL_RETIMED_FACTOR",
     "ACELL_MUXED_FACTOR",
     "circuit_area_units",
-    "area_in_dff",
-    "AreaBreakdown",
-    "area_breakdown",
 ]
 
 #: Fresh A_CELL: 2-input AND (3) + 2-input NOR (2) + 2-input XOR (4) + DFF (10).
@@ -57,36 +52,3 @@ ACELL_MUXED_FACTOR = ACELL_MUXED_AREA_UNITS / DFF_AREA_UNITS  # 2.3
 def circuit_area_units(netlist: Netlist) -> int:
     """Estimated area of ``netlist`` per the Table 9 counting rules."""
     return netlist.area_units()
-
-
-def area_in_dff(units: float) -> float:
-    """Convert abstract units to DFF equivalents (10 units per DFF)."""
-    return units / DFF_AREA_UNITS
-
-
-@dataclass(frozen=True)
-class AreaBreakdown:
-    """Per-gate-type area contributions of a netlist."""
-
-    total_units: int
-    dff_units: int
-    inverter_units: int
-    gate_units: int
-
-    @property
-    def combinational_units(self) -> int:
-        return self.inverter_units + self.gate_units
-
-
-def area_breakdown(netlist: Netlist) -> AreaBreakdown:
-    """Split the circuit area into DFF / inverter / other-gate contributions."""
-    dff = inv = gate = 0
-    for cell in netlist.cells():
-        a = cell.area_units
-        if cell.is_dff:
-            dff += a
-        elif cell.gtype is GateType.NOT:
-            inv += a
-        else:
-            gate += a
-    return AreaBreakdown(dff + inv + gate, dff, inv, gate)

@@ -25,7 +25,6 @@ __all__ = [
     "GateType",
     "DFF_AREA_UNITS",
     "gate_area_units",
-    "evaluate_gate",
     "GATE_EVALUATORS",
     "COMBINATIONAL_TYPES",
     "parse_gate_type",
@@ -181,20 +180,6 @@ GATE_EVALUATORS: Dict[GateType, Callable[[Sequence[int], int], int]] = {
     GateType.BUF: _eval_buf,
     GateType.MUX2: _eval_mux2,
 }
-
-
-def evaluate_gate(gtype: GateType, inputs: Sequence[int], mask: int) -> int:
-    """Evaluate one combinational gate on parallel-pattern words.
-
-    ``mask`` bounds complement operations to the active pattern bits.
-
-    >>> evaluate_gate(GateType.NAND, [0b1100, 0b1010], 0b1111)
-    7
-    """
-    if gtype is GateType.DFF:
-        raise NetlistError("DFF has no combinational evaluation; use the sequential simulator")
-    check_fanin(gtype, len(inputs))
-    return GATE_EVALUATORS[gtype](inputs, mask)
 
 
 #: Accepted spellings in .bench files (case-insensitive) → canonical type.

@@ -33,17 +33,6 @@ class CircuitStats:
     n_inverters: int
     area_units: int
 
-    def as_row(self) -> Tuple[str, int, int, int, int, int]:
-        """(name, #PI, #DFF, #gates, #INV, area) — the Table 9 columns."""
-        return (
-            self.name,
-            self.n_inputs,
-            self.n_dffs,
-            self.n_gates,
-            self.n_inverters,
-            self.area_units,
-        )
-
 
 class Netlist:
     """Mutable gate-level netlist.
@@ -120,12 +109,6 @@ class Netlist:
             raise NetlistError(f"no cell drives signal {cell.output!r}")
         self._cells[cell.output] = cell
         return cell
-
-    def remove_output(self, signal: str) -> None:
-        try:
-            self._outputs.remove(signal)
-        except ValueError:
-            raise NetlistError(f"{signal!r} is not a primary output") from None
 
     # ------------------------------------------------------------------
     # queries

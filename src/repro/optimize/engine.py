@@ -41,10 +41,9 @@ class MoveRecord:
     node: str
     from_cid: int
     to_cid: int
-    #: (nodes, input_nets) of the source cluster before the move, or
-    #: ``None`` when the move emptied and removed it.
+    #: (nodes, input_nets) of the source cluster before the move; undo
+    #: re-creates the cluster from it when the move emptied it.
     src_before: Tuple[FrozenSet[str], FrozenSet[str]]
-    src_removed: bool
     #: (nodes, input_nets) of the target cluster before the move, or
     #: ``None`` when the move created it.
     dst_before: Optional[Tuple[FrozenSet[str], FrozenSet[str]]]
@@ -229,7 +228,6 @@ class MoveEngine:
             from_cid=from_cid,
             to_cid=to_cid,
             src_before=(src.nodes, src.input_nets),
-            src_removed=not new_src_nodes,
             dst_before=(
                 (dst.nodes, dst.input_nets) if dst is not None else None
             ),

@@ -6,7 +6,9 @@ nets, trying for each the two relocations that could absorb the cut
 source's cluster) and keeping a move only when it *strictly* improves
 ``(Σ, |cuts|)`` lexicographically.  Illegal or non-improving moves are
 undone through the engine, so the state after every sweep is legal
-under Eq. 5/6 by construction.
+under Eq. 5/6 by construction.  The swept state is returned only when
+its exact cost (:func:`~repro.optimize.refine.refine_cost`) is no worse
+than the seed's; otherwise the seed comes back unchanged.
 
 *Timing-aware ordering*: cuts whose net lies inside an SCC are tried
 first (smallest Eq. 6 slack first) — those sit on sequential feedback
@@ -26,7 +28,7 @@ from ..graphs.scc import SCCIndex
 from ..partition.clusters import Partition
 from ..retiming.solve import solve_cut_retiming
 from .engine import MoveEngine
-from .refine import OptimizeResult, schedule_steps
+from .refine import OptimizeResult, refine_cost, schedule_steps, unchanged_result
 
 __all__ = ["fast_refine"]
 
@@ -91,6 +93,23 @@ def fast_refine(
     if changed_since_retime:
         solution = solve_cut_retiming(graph, engine.cut_nets(), edges=edges)
         n_retimes += 1
+    uncovered = len(solution.dropped_cuts)
+    # fewer cuts can leave the least-area solve dropping more of them:
+    # keep the sweeps' state only if its exact cost holds up against the
+    # seed's, as the annealer does
+    if refine_cost(engine.sigma, engine.n_cuts, uncovered) > (
+        refine_cost(sigma0, cuts0, uncovered0) + 1e-9
+    ):
+        return unchanged_result(
+            "fast",
+            partition,
+            sigma0,
+            cuts0,
+            uncovered0,
+            max_proposals,
+            n_proposed=n_proposed,
+            n_retimes=n_retimes,
+        )
     refined = engine.export_partition(scc_index=scc_index)
     return OptimizeResult(
         method="fast",
@@ -100,7 +119,7 @@ def fast_refine(
         cuts_before=cuts0,
         cuts_after=engine.n_cuts,
         uncovered_before=uncovered0,
-        uncovered_after=len(solution.dropped_cuts),
+        uncovered_after=uncovered,
         n_steps=max_proposals,
         n_proposed=n_proposed,
         n_accepted=n_accepted,

@@ -83,10 +83,13 @@ def estimate_retime_seconds(n_edges: int, n_cuts: int) -> float:
     never of measured time.  The constant is a fixed part of that
     schedule, not a timing model: it was calibrated on an earlier
     solver that re-solved feasibility per dropped cut (s510 ≈ 1.1 s at
-    454 edges / 105 cuts, s1423 ≈ 10 s at 1368 / 337).  The exact
-    min-cost-flow solver runs the same solves in well under a tenth of
-    that, so the estimate now overstates the cost; changing it would
-    change every refinement schedule and golden.
+    454 edges / 105 cuts, s1423 ≈ 10 s at 1368 / 337).  The least-area
+    descent (:func:`~repro.retiming.solve.solve_cut_retiming`) runs the
+    same solves about 90–300× faster (s510: 8 ms against 953 ms
+    charged), so among the bundled circuits the annealer schedules
+    mid-run checkpoints on s27, and on s510 and s420.1 only at a 10 s
+    budget; changing the constant would change every refinement
+    schedule and golden.
     """
     return 2e-5 * n_edges * max(1, n_cuts)
 

@@ -10,7 +10,7 @@ from .assign_cbit import (
     merge_gain,
     merged_input_nets,
 )
-from .pic import PICViolation, assert_pic, check_pic
+from .pic import PICViolation, check_pic
 
 __all__ = [
     "Cluster",
@@ -28,6 +28,5 @@ __all__ = [
     "merge_gain",
     "merged_input_nets",
     "PICViolation",
-    "assert_pic",
     "check_pic",
 ]

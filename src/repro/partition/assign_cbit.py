@@ -66,7 +66,6 @@ class MergeGain:
 
     gain: int  # γ = l_k − ι(merged); feasible iff ≥ 0
     cuts_removed: int  # cut nets that become internal
-    merged_inputs: FrozenSet[str]
 
     @property
     def feasible(self) -> bool:
@@ -93,11 +92,7 @@ def merge_gain(
         src = graph.net(net_name).source
         if graph.kind(src) is NodeKind.COMB and src in a.nodes:
             cuts_removed += 1
-    return MergeGain(
-        gain=lk - len(merged),
-        cuts_removed=cuts_removed,
-        merged_inputs=merged,
-    )
+    return MergeGain(gain=lk - len(merged), cuts_removed=cuts_removed)
 
 
 @dataclass

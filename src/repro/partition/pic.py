@@ -21,7 +21,7 @@ from ..errors import PartitionError
 from ..graphs.scc import SCCIndex
 from .clusters import Partition
 
-__all__ = ["PICViolation", "check_pic", "assert_pic"]
+__all__ = ["PICViolation", "check_pic"]
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,3 @@ def check_pic(
                     )
                 )
     return violations
-
-
-def assert_pic(partition: Partition, beta: int, scc_index: SCCIndex = None) -> None:
-    """Raise :class:`PartitionError` when ``partition`` violates PIC."""
-    violations = check_pic(partition, beta, scc_index)
-    if violations:
-        summary = "; ".join(v.detail for v in violations[:5])
-        raise PartitionError(
-            f"{len(violations)} PIC violation(s): {summary}"
-        )

@@ -17,12 +17,7 @@ from .random_test import (
     random_coverage_curve,
 )
 from .session import CUTResult, PPETSession, SessionReport, extract_cut
-from .structural import (
-    StructuralSelfTest,
-    StructuralSignatures,
-    run_structural_pipes,
-    run_structural_selftest,
-)
+from .structural import StructuralSelfTest, StructuralSignatures, run_structural_pipes
 
 __all__ = [
     "MAX_EXHAUSTIVE_INPUTS",
@@ -50,5 +45,4 @@ __all__ = [
     "StructuralSelfTest",
     "StructuralSignatures",
     "run_structural_pipes",
-    "run_structural_selftest",
 ]

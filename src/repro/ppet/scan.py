@@ -9,7 +9,7 @@ and one full shift-out after.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from ..cbit.assemble import CBITPlan
 
@@ -35,29 +35,6 @@ class ScanChain:
     def readout_cycles(self) -> int:
         """Clocks to shift out all signatures."""
         return self.length
-
-    def offset_of(self, cluster_id: int) -> int:
-        """Bit offset of a cluster's CBIT on the chain."""
-        off = 0
-        for cid, w in self.segments:
-            if cid == cluster_id:
-                return off
-            off += w
-        raise KeyError(f"cluster {cluster_id} has no CBIT on the chain")
-
-    def shift_plan(self, seeds: Dict[int, int]) -> List[int]:
-        """Serialize per-cluster seed values into the bit stream to shift.
-
-        The last segment's bits are shifted first (standard scan order:
-        the head of the stream lands in the tail of the chain).
-        """
-        bits: List[int] = []
-        for cid, width in self.segments:
-            seed = seeds.get(cid, 0)
-            for i in range(width):
-                bits.append((seed >> i) & 1)
-        bits.reverse()
-        return bits
 
 
 def build_scan_chain(plan: CBITPlan) -> ScanChain:

@@ -27,7 +27,6 @@ from ..sim.seqsim import SequentialSimulator
 __all__ = [
     "StructuralSignatures",
     "StructuralSelfTest",
-    "run_structural_selftest",
     "run_structural_pipes",
 ]
 
@@ -44,11 +43,6 @@ class StructuralSignatures:
 
     def as_dict(self) -> Dict[int, int]:
         return dict(self.per_chain)
-
-    def differs_from(self, other: "StructuralSignatures") -> List[int]:
-        """Chain ids whose signature differs."""
-        mine, theirs = self.as_dict(), other.as_dict()
-        return [cid for cid, sig in mine.items() if sig != theirs.get(cid)]
 
 
 def _signatures(
@@ -67,7 +61,7 @@ def _signatures(
 
 @dataclass
 class StructuralSelfTest:
-    """Outcome of :func:`run_structural_selftest`."""
+    """Outcome of :func:`run_structural_pipes`."""
 
     golden: StructuralSignatures
     detected: Set[StuckAtFault]
@@ -78,91 +72,6 @@ class StructuralSelfTest:
     def coverage(self) -> float:
         total = len(self.detected) + len(self.undetected)
         return len(self.detected) / total if total else 1.0
-
-
-def run_structural_selftest(
-    bist: BISTCircuit,
-    n_cycles: int,
-    faults: Sequence[StuckAtFault] = (),
-    pi_values: Optional[Mapping[str, int]] = None,
-    seed_state: int = 0,
-) -> StructuralSelfTest:
-    """Clock the emitted netlist in test mode and grade ``faults``.
-
-    Args:
-        bist: output of :func:`repro.cbit.insert.insert_test_hardware`.
-        n_cycles: test-mode clocks to apply (2^widest-CBIT covers every
-            chain's full pattern space).
-        faults: stuck-at faults on signals of the BIST netlist (original
-            signal names are preserved, so original-circuit fault lists
-            apply directly).
-        pi_values: values held on the functional primary inputs during
-            self-test (all-0 by default; in full in-situ BIST the PI cells
-            inserted with ``include_primary_inputs`` drive them instead).
-
-    Returns:
-        A :class:`StructuralSelfTest` with the fault-free signatures and
-        the detected/undetected split.
-    """
-    if n_cycles < 1:
-        raise SimulationError("n_cycles must be positive")
-    nl = bist.netlist
-    base = {pi: 0 for pi in nl.inputs}
-    # dual-mode netlists: free-running self-test = every chain in PSA role
-    for pi in nl.inputs:
-        if pi.startswith("psa_en_"):
-            base[pi] = 1
-    if pi_values:
-        base.update(pi_values)
-    base[TEST_MODE] = 1
-    if bist.has_scan:
-        base[SCAN_EN] = 0
-        base[SCAN_IN] = 0
-
-    def run_lanes(
-        n_lanes: int, mask_faults: Optional[Dict[str, tuple]]
-    ) -> Dict[str, int]:
-        """Clock ``n_lanes`` independent machines at once; returns state."""
-        ones = block_ones(1, n_lanes)
-        sim = SequentialSimulator(nl)
-        sim.reset(
-            {
-                q: ((seed_state >> i) & 1) * ones
-                for i, q in enumerate(bist.chain_order)
-            }
-        )
-        drive = {pi: v * ones for pi, v in base.items()}
-        for _ in range(n_cycles):
-            sim.step(drive, n_patterns=n_lanes, faults=mask_faults)
-        return sim.state
-
-    for fault in faults:
-        if not nl.has_signal(fault.signal):
-            raise SimulationError(
-                f"fault site {fault.signal!r} not in the BIST netlist"
-            )
-    detected: Set[StuckAtFault] = set()
-    undetected: Set[StuckAtFault] = set()
-    with perf_stage("structural_selftest"):
-        golden = _signatures(bist, run_lanes(1, None))
-        # one sequential run grades up to WORD_BITS faults: fault j lives
-        # in bit-lane j of every signal word
-        for batch in chunked(faults, WORD_BITS):
-            state = run_lanes(len(batch), fault_block_masks(batch, 1))
-            for j, fault in enumerate(batch):
-                sigs = _signatures(bist, state, lane=j)
-                if sigs.differs_from(golden):
-                    detected.add(fault)
-                else:
-                    undetected.add(fault)
-    perf_count("selftest_cycles", n_cycles * (1 + len(faults)))
-    perf_count("selftest_runs", 1 + (len(faults) + WORD_BITS - 1) // WORD_BITS)
-    return StructuralSelfTest(
-        golden=golden,
-        detected=detected,
-        undetected=undetected,
-        n_cycles=n_cycles,
-    )
 
 
 def run_structural_pipes(

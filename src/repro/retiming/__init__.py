@@ -3,7 +3,6 @@
 from .model import (
     Retiming,
     illegal_edges,
-    is_legal,
     retimed_path_registers,
     retimed_weight,
 )
@@ -26,7 +25,6 @@ _LAZY = {
 __all__ = [
     "Retiming",
     "illegal_edges",
-    "is_legal",
     "retimed_path_registers",
     "retimed_weight",
     "RetimingSolution",

@@ -25,7 +25,6 @@ __all__ = [
     "Retiming",
     "retimed_weight",
     "retimed_path_registers",
-    "is_legal",
     "illegal_edges",
 ]
 
@@ -58,11 +57,6 @@ def illegal_edges(
     return [e for e in edges if retimed_weight(e, rho) < 0]
 
 
-def is_legal(edges: Iterable[WeightedEdge], rho: Mapping[str, int]) -> bool:
-    """Corollary 3: legal iff no edge weight goes negative."""
-    return not illegal_edges(edges, rho)
-
-
 @dataclass
 class Retiming:
     """A retiming vector bound to a fixed register-weighted edge list."""
@@ -70,15 +64,8 @@ class Retiming:
     edges: Tuple[WeightedEdge, ...]
     rho: Dict[str, int] = field(default_factory=dict)
 
-    @staticmethod
-    def identity(edges: Sequence[WeightedEdge]) -> "Retiming":
-        return Retiming(edges=tuple(edges), rho={})
-
     def weight(self, edge: WeightedEdge) -> int:
         return retimed_weight(edge, self.rho)
-
-    def legal(self) -> bool:
-        return is_legal(self.edges, self.rho)
 
     def assert_legal(self) -> None:
         bad = illegal_edges(self.edges, self.rho)

@@ -66,7 +66,7 @@ from ..circuits.library import load_circuit
 from ..config import MercedConfig
 from ..errors import ReproError
 from ..exec.cache import HotCache, ResultCache
-from ..exec.hashing import code_version, point_key_strict, short_key
+from ..exec.hashing import code_version, point_key, short_key
 from ..exec.pool import SweepFarm
 from ..exec.task import SweepPoint, TaskResult, known_kinds
 from ..exec.watchdog import watchdog_stats
@@ -449,11 +449,6 @@ class CompileService:
         """True once :meth:`drain` has begun rejecting new work."""
         return self._draining
 
-    @property
-    def queue_depth(self) -> int:
-        """Admitted-but-unfinished primary requests (running + queued)."""
-        return self._active
-
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
@@ -627,7 +622,7 @@ class CompileService:
                 "error_type": "ServiceDraining",
             }, None
 
-        key = point_key_strict(point, self._code)
+        key = point_key(point, self._code)
 
         # Hot tier first, whatever the mode: answered on the event loop
         # with the stored bytes spliced straight into the response — no

@@ -9,8 +9,8 @@ from .bitparallel import (
     replicate_word,
 )
 from .levelize import LevelizedCircuit, levelize
-from .logicsim import CombSimulator, ScalarSimulator, pack_patterns, unpack_word
-from .seqsim import SequentialSimulator, random_input_sequence, sequences_equal
+from .logicsim import CombSimulator, ScalarSimulator, pack_patterns
+from .seqsim import SequentialSimulator, random_input_sequence
 
 __all__ = [
     "WORD_BITS",
@@ -24,8 +24,6 @@ __all__ = [
     "CombSimulator",
     "ScalarSimulator",
     "pack_patterns",
-    "unpack_word",
     "SequentialSimulator",
     "random_input_sequence",
-    "sequences_equal",
 ]

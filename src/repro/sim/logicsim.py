@@ -15,7 +15,7 @@ from ..netlist.gates import GATE_EVALUATORS
 from ..netlist.netlist import Netlist
 from .levelize import levelize
 
-__all__ = ["CombSimulator", "ScalarSimulator", "pack_patterns", "unpack_word"]
+__all__ = ["CombSimulator", "ScalarSimulator", "pack_patterns"]
 
 
 def pack_patterns(patterns: Sequence[Mapping[str, int]], signals: Sequence[str]) -> Dict[str, int]:
@@ -30,11 +30,6 @@ def pack_patterns(patterns: Sequence[Mapping[str, int]], signals: Sequence[str])
             if pat[s] & 1:
                 words[s] |= 1 << i
     return words
-
-
-def unpack_word(word: int, n_patterns: int) -> List[int]:
-    """Split a parallel word back into per-pattern bits."""
-    return [(word >> i) & 1 for i in range(n_patterns)]
 
 
 class CombSimulator:
@@ -72,8 +67,9 @@ class CombSimulator:
             faults: optional stuck-at overrides ``signal -> (and_mask,
                 or_mask)`` applied to the signal's *driven* value —
                 stuck-at-0 is ``(0, 0)``, stuck-at-1 is ``(mask, mask)``
-                with ``mask = 2^n_patterns − 1``.  (Fault simulation uses
-                this hook; see :mod:`repro.faults.fsim`.)
+                with ``mask = 2^n_patterns − 1``.  (The self-test
+                session grades faults through this hook; see
+                :mod:`repro.ppet.session`.)
 
         Returns:
             signal → parallel word, for every signal in the circuit.

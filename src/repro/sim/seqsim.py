@@ -15,7 +15,7 @@ from ..errors import SimulationError
 from ..netlist.netlist import Netlist
 from .logicsim import CombSimulator
 
-__all__ = ["SequentialSimulator", "random_input_sequence", "sequences_equal"]
+__all__ = ["SequentialSimulator", "random_input_sequence"]
 
 
 class SequentialSimulator:
@@ -96,17 +96,3 @@ def random_input_sequence(
         {pi: rng.randint(0, 1) for pi in netlist.inputs}
         for _ in range(n_steps)
     ]
-
-
-def sequences_equal(
-    a: Sequence[Tuple[int, ...]], b: Sequence[Tuple[int, ...]], skip: int = 0
-) -> bool:
-    """Compare PO traces, optionally ignoring the first ``skip`` clocks.
-
-    Retimed circuits may differ in I/O latency during the first cycles
-    when registers were added on input/output paths; ``skip`` lets callers
-    compare steady-state behaviour.
-    """
-    if len(a) != len(b):
-        raise SimulationError("traces have different lengths")
-    return a[skip:] == b[skip:]

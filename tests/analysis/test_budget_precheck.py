@@ -15,13 +15,14 @@ The bound claims: any legal partition of an SCC needs at least
 from itertools import combinations
 from math import inf
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.precheck import budget_prechecks, scc_cut_lower_bound
 from repro.circuits.generator import generate_circuit
 from repro.circuits.profiles import CircuitProfile
 from repro.config import MercedConfig
+from repro.errors import NetlistError
 from repro.graphs import SCCIndex, build_circuit_graph
 from repro.graphs.csr import compile_graph
 from repro.partition import make_group
@@ -48,6 +49,19 @@ def feedback_profiles(draw):
         dffs_on_scc=dffs_on_scc,
         n_outputs=draw(st.integers(min_value=1, max_value=3)),
     )
+
+
+def feedback_circuit(profile, seed):
+    """The generated circuit; draws the generator refuses are rejected.
+
+    Some ``(profile, seed)`` pairs plan feedback rings that leave fewer
+    plain gates than the circuit has stages, and ``generate_circuit``
+    raises ``NetlistError`` for them by design.
+    """
+    try:
+        return generate_circuit(profile, seed=seed)
+    except NetlistError:
+        assume(False)
 
 
 def hypergraph(netlist, scc_nodes):
@@ -119,7 +133,7 @@ def forced_groups(comb, edges, removed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_lower_bound_sound_against_bruteforce(profile, seed, lk):
-    netlist = generate_circuit(profile, seed=seed)
+    netlist = feedback_circuit(profile, seed)
     graph = build_circuit_graph(netlist, with_po_nodes=False)
     scc_index = SCCIndex(graph)
     cg = compile_graph(graph)
@@ -155,7 +169,7 @@ def test_lower_bound_sound_against_bruteforce(profile, seed, lk):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_infeasible_verdicts_match_make_group(profile, seed, lk, beta):
-    netlist = generate_circuit(profile, seed=seed)
+    netlist = feedback_circuit(profile, seed)
     graph = build_circuit_graph(netlist, with_po_nodes=False)
     scc_index = SCCIndex(graph)
     cg = compile_graph(graph)

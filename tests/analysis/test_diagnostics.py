@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     Diagnostic,
     DiagnosticReport,
-    merge_reports,
     severity_at_least,
 )
 
@@ -66,7 +65,7 @@ class TestDiagnosticReport:
         assert [d.rule_id for d in r.errors] == ["NET005"]
         assert len(r.warnings) == 2
         assert len(r.infos) == 1
-        assert r.has_errors and not r.clean
+        assert r.has_errors and r.diagnostics
 
     def test_counts_by_rule(self):
         assert self.report().counts_by_rule() == {
@@ -104,14 +103,3 @@ class TestDiagnosticReport:
         )
         text = r.render_text()
         assert "clean" in text and "NET001" in text
-
-    def test_merge_reports(self):
-        merged = merge_reports(
-            "both",
-            [
-                DiagnosticReport("a", (diag("NET001", "warning", "g1"),)),
-                DiagnosticReport("b", (diag("NET005", "error", "x"),)),
-            ],
-        )
-        assert merged.subject == "both"
-        assert merged.counts_by_rule() == {"NET001": 1, "NET005": 1}

@@ -25,18 +25,8 @@ class TestAnnealing:
             n_steps=2000,
             scc_index=s27_scc,
         )
-        res.partition.validate()
-        assert res.partition.is_feasible()
-
-    def test_cost_trace_monotone_in_expectation(self, s27_graph):
-        res = anneal_partition(
-            s27_graph, m=4, config=MercedConfig(lk=3, seed=1), n_steps=2000
-        )
-        trace = res.cost_trace
-        # late solutions are no worse than early exploration on average
-        early = sum(trace[: len(trace) // 4]) / (len(trace) // 4)
-        late = sum(trace[-len(trace) // 4:]) / (len(trace) // 4)
-        assert late <= early
+        res.validate()
+        assert res.is_feasible()
 
     def test_determinism(self, s27_graph):
         a = anneal_partition(
@@ -45,20 +35,13 @@ class TestAnnealing:
         b = anneal_partition(
             s27_graph, m=3, config=MercedConfig(lk=4, seed=9), n_steps=800
         )
-        assert [sorted(c.nodes) for c in a.partition.clusters] == [
-            sorted(c.nodes) for c in b.partition.clusters
+        assert [sorted(c.nodes) for c in a.clusters] == [
+            sorted(c.nodes) for c in b.clusters
         ]
 
     def test_invalid_m(self, s27_graph):
         with pytest.raises(PartitionError):
             anneal_partition(s27_graph, m=0)
-
-    def test_acceptance_rate_sane(self, s27_graph):
-        res = anneal_partition(
-            s27_graph, m=4, config=MercedConfig(lk=3, seed=1), n_steps=1500
-        )
-        assert 0.0 < res.acceptance_rate < 1.0
-
 
 class TestPartialScan:
     def test_dependency_graph_registers_only(self, s27_graph):
@@ -118,7 +101,8 @@ class TestPETComparison:
 
     def test_pet_hardware_is_cheaper(self, s27_compiled):
         cmp = compare_pet_ppet(s27_compiled.partition, s27_compiled.plan)
-        assert cmp.hardware_ratio >= 1.0  # PPET pays area for concurrency
+        # PPET pays area for concurrency
+        assert cmp.ppet_cbit_cost_dff >= cmp.pet_tpg_cost_dff
 
     def test_cycle_arithmetic(self, s27_compiled):
         cmp = compare_pet_ppet(s27_compiled.partition, s27_compiled.plan)

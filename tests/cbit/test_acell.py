@@ -2,37 +2,15 @@
 
 import pytest
 
-from repro.cbit import ACell, ACellVariant, acell_area_dff, acell_area_units
-from repro.netlist import GateType
+from repro.cbit import ACellVariant, acell_area_dff
 
 
 class TestVariantAreas:
     def test_fresh(self):
-        assert acell_area_units(ACellVariant.FRESH) == 19
         assert acell_area_dff(ACellVariant.FRESH) == pytest.approx(1.9)
 
     def test_retimed(self):
-        assert acell_area_units(ACellVariant.RETIMED) == 9
         assert acell_area_dff(ACellVariant.RETIMED) == pytest.approx(0.9)
 
     def test_muxed(self):
-        assert acell_area_units(ACellVariant.MUXED) == 23
         assert acell_area_dff(ACellVariant.MUXED) == pytest.approx(2.3)
-
-
-class TestACellRecord:
-    def test_gate_complement(self):
-        cell = ACell("n1", ACellVariant.FRESH)
-        assert cell.added_gates == (GateType.AND, GateType.NOR, GateType.XOR)
-
-    def test_muxed_adds_mux(self):
-        cell = ACell("n1", ACellVariant.MUXED)
-        assert GateType.MUX2 in cell.added_gates
-
-    def test_needs_new_dff(self):
-        assert ACell("n", ACellVariant.FRESH).needs_new_dff
-        assert ACell("n", ACellVariant.MUXED).needs_new_dff
-        assert not ACell("n", ACellVariant.RETIMED, moved_dff="q3").needs_new_dff
-
-    def test_area_property(self):
-        assert ACell("n", ACellVariant.RETIMED).area_units == 9

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cbit import assemble_cbits
 from repro.config import MercedConfig
-from repro.errors import CBITError
 from repro.graphs import NodeKind, SCCIndex
 from repro.partition import Cluster, Partition, assign_cbit, make_group
 
@@ -44,13 +43,6 @@ class TestAssemble:
         partition, plan = s27_plan
         assert plan.widest() == partition.max_input_count()
 
-    def test_by_cluster_lookup(self, s27_plan):
-        _, plan = s27_plan
-        first = plan.assignments[0]
-        assert plan.by_cluster(first.cluster_id) is first
-        with pytest.raises(CBITError):
-            plan.by_cluster(99999)
-
     def test_pure_register_cluster_skipped(self, s27_graph, s27_scc):
         nodes = {
             n
@@ -64,7 +56,3 @@ class TestAssemble:
         p = Partition(s27_graph, clusters, lk=30, scc_index=s27_scc)
         plan = assemble_cbits(p)
         assert [a.cluster_id for a in plan.assignments] == [0]
-
-    def test_n_cbits_counts_cascades(self, s27_plan):
-        _, plan = s27_plan
-        assert plan.n_cbits >= len(plan.assignments)

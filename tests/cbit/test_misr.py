@@ -1,13 +1,8 @@
-"""MISR signature analysis and the dual-mode CBIT register."""
+"""MISR signature analysis."""
 
 import pytest
 
-from repro.cbit import (
-    CBITMode,
-    CBITRegister,
-    MISR,
-    aliasing_probability,
-)
+from repro.cbit import MISR
 from repro.errors import CBITError
 
 
@@ -52,11 +47,6 @@ class TestMISR:
 
 
 class TestAliasing:
-    def test_probability_formula(self):
-        assert aliasing_probability(16) == pytest.approx(2 ** -16)
-        with pytest.raises(CBITError):
-            aliasing_probability(0)
-
     def test_measured_aliasing_rate_is_near_2_to_minus_n(self):
         """Empirical aliasing over random error streams ≈ 2^-width."""
         import random
@@ -75,53 +65,3 @@ class TestAliasing:
                 aliased += 1
         rate = aliased / trials
         assert rate == pytest.approx(1 / 16, abs=0.03)
-
-
-class TestCBITRegister:
-    def test_tpg_mode_exhaustive(self):
-        cbit = CBITRegister("c0", 4)
-        patterns = sorted(cbit.patterns())
-        assert patterns == list(range(16))
-
-    def test_mode_switch_preserves_state(self):
-        cbit = CBITRegister("c0", 4, seed=5)
-        cbit.clock()
-        state = cbit.state
-        cbit.set_mode(CBITMode.PSA)
-        assert cbit.state == state
-
-    def test_psa_mode_absorbs(self):
-        cbit = CBITRegister("c0", 4, seed=0)
-        cbit.load(0)
-        cbit.set_mode(CBITMode.PSA)
-        cbit.clock(0b1010)
-        assert cbit.state != 0
-
-    def test_clock_in_scan_mode_rejected(self):
-        cbit = CBITRegister("c0", 4)
-        cbit.set_mode(CBITMode.SCAN)
-        with pytest.raises(CBITError):
-            cbit.clock()
-
-    def test_patterns_requires_tpg(self):
-        cbit = CBITRegister("c0", 4)
-        cbit.set_mode(CBITMode.PSA)
-        with pytest.raises(CBITError):
-            cbit.patterns()
-
-    def test_scan_shift_round_trip(self):
-        cbit = CBITRegister("c0", 4, seed=0)
-        cbit.load(0b1011)
-        out_bits = []
-        for _ in range(4):
-            out_bits.append(cbit.scan_shift(0))
-        # MSB first: 1, 0, 1, 1
-        assert out_bits == [1, 0, 1, 1]
-        assert cbit.state == 0
-
-    def test_scan_shift_in(self):
-        cbit = CBITRegister("c0", 4, seed=0)
-        cbit.load(0)
-        for bit in (1, 0, 1, 1):
-            cbit.scan_shift(bit)
-        assert cbit.state == 0b1011

@@ -5,11 +5,9 @@ import pytest
 from repro.cbit import (
     MAXIMAL_LFSR_TAPS,
     feedback_taps,
-    find_primitive,
     is_irreducible,
     is_primitive,
     poly_degree,
-    poly_weight,
     primitive_polynomial,
 )
 from repro.cbit.polynomials import poly_mul_mod, poly_pow_mod
@@ -28,7 +26,7 @@ class TestArithmetic:
     def test_degree_and_weight(self):
         p = primitive_polynomial(8)
         assert poly_degree(p) == 8
-        assert poly_weight(p) == 5  # x^8+x^6+x^5+x^4+1
+        assert bin(p).count("1") == 5  # x^8+x^6+x^5+x^4+1
 
     def test_feedback_taps(self):
         assert feedback_taps(primitive_polynomial(4)) == [3]
@@ -74,15 +72,3 @@ class TestPrimitivity:
             primitive_polynomial(33)
         with pytest.raises(CBITError):
             primitive_polynomial(1)
-
-
-class TestSearch:
-    @pytest.mark.parametrize("degree", [2, 3, 4, 5, 6, 7, 8])
-    def test_find_primitive_small_degrees(self, degree):
-        p = find_primitive(degree)
-        assert poly_degree(p) == degree
-        assert is_primitive(p)
-
-    def test_find_primitive_rejects_degree_below_2(self):
-        with pytest.raises(CBITError):
-            find_primitive(1)

@@ -5,11 +5,9 @@ import pytest
 from repro.cbit import (
     PAPER_CBIT_TYPES,
     cbit_cost_for_inputs,
-    cbit_type_by_name,
     estimate_cbit_area_dff,
     smallest_type_for,
 )
-from repro.cbit import testing_time_cycles as time_cycles  # avoid test* name
 from repro.errors import CBITError
 
 
@@ -38,13 +36,6 @@ class TestTable1:
     def test_testing_time_exponential(self):
         assert PAPER_CBIT_TYPES[0].testing_time == 16
         assert PAPER_CBIT_TYPES[3].testing_time == 65536
-        assert time_cycles(24) == 1 << 24
-
-    def test_lookup_by_name(self):
-        assert cbit_type_by_name("d4").length == 16
-        with pytest.raises(CBITError):
-            cbit_type_by_name("d9")
-
 
 class TestSmallestType:
     @pytest.mark.parametrize(

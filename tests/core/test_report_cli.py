@@ -8,8 +8,6 @@ from repro import Merced, MercedConfig
 from repro.core import (
     format_table,
     render_table10_11,
-    render_table12,
-    render_table9,
 )
 from repro.core.cli import build_parser, main
 from repro.circuits import load_circuit
@@ -29,22 +27,11 @@ class TestFormatTable:
 
 
 class TestRenderers:
-    def test_table9(self):
-        text = render_table9([load_circuit("s27").stats()])
-        assert "s27" in text and "51" in text
-
     def test_table10(self):
         report = Merced(MercedConfig(lk=3, seed=7)).run_named("s27")
         text = render_table10_11([report.row], lk=3)
         assert "l_k = 3" in text
         assert "s27" in text
-
-    def test_table12(self):
-        r16 = Merced(MercedConfig(lk=3, seed=7)).run_named("s27")
-        r24 = Merced(MercedConfig(lk=6, seed=7)).run_named("s27")
-        text = render_table12([(r16.area, r24.area)])
-        assert "s27" in text
-        assert "w/ ret" in text
 
 
 class TestCLI:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Merced, MercedConfig
-from repro.core import render_table12
+from repro.core import format_table
 from repro.core.cost import CBITAreaComparison
 from repro.core.result import PartitionRow
 
@@ -24,17 +24,12 @@ class TestRenderTable12ZeroRows:
             n_cut_nets_on_scc=0,
             n_retimable=0,
         )
-        nonzero = CBITAreaComparison(
-            circuit="tiny",
-            lk=16,
-            circuit_area_units=500,
-            n_cut_nets=10,
-            n_cut_nets_on_scc=5,
-            n_retimable=5,
-        )
-        text = render_table12([(nonzero, zero)])
-        # the l_k=24 columns are 0.0 like the paper's zero entries
-        assert "0.0" in text.splitlines()[-1]
+        row = (zero.pct_with_retiming, zero.pct_without_retiming)
+        assert row == (0.0, 0.0)
+        # the Table 12 bench renders them with format_table: 0.0 like the
+        # paper's zero entries
+        text = format_table(["w/ ret", "w/o ret"], [row])
+        assert text.splitlines()[-1].split() == ["0.0", "|", "0.0"]
 
     def test_report_render_is_single_block(self):
         report = Merced(MercedConfig(lk=3, seed=7)).run_named("s27")

@@ -137,7 +137,7 @@ def test_run_fuzz_archives_shrunk_reproducer(tmp_path, monkeypatch):
     netlist = parse_bench_file(str(bench))
     assert netlist.stats().n_gates == mismatch.spec.n_gates
     payload = json.loads(sidecar.read_text())
-    assert CorpusSpec.from_dict(payload["spec"]) == mismatch.spec
+    assert CorpusSpec(**payload["spec"]) == mismatch.spec
     assert payload["check"] == "scc"
 
 

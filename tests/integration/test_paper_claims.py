@@ -9,6 +9,7 @@ without demanding 1996-run-identical numbers.
 import pytest
 
 from repro import Merced, MercedConfig
+from repro.cbit import PAPER_CBIT_TYPES
 from repro.circuits import load_circuit
 from repro.ppet import PPETSession
 
@@ -80,9 +81,9 @@ class TestLkTradeoff:
 
     def test_testing_time_grows_exponentially(self):
         """Figure 4: the price of bigger CBITs is 2^l_k testing time."""
-        from repro.cbit import testing_time_cycles
-
-        assert testing_time_cycles(24) / testing_time_cycles(16) == 256
+        d4, d5 = PAPER_CBIT_TYPES[3], PAPER_CBIT_TYPES[4]
+        assert (d4.length, d5.length) == (16, 24)
+        assert d5.testing_time / d4.testing_time == 256
 
 
 class TestSelfTestQuality:

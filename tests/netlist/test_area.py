@@ -9,10 +9,6 @@ from repro.netlist import (
     ACELL_MUXED_FACTOR,
     ACELL_RETIMED_EXTRA_UNITS,
     ACELL_RETIMED_FACTOR,
-    GateType,
-    Netlist,
-    area_breakdown,
-    area_in_dff,
     circuit_area_units,
 )
 
@@ -43,23 +39,3 @@ class TestACellConstants:
 class TestCircuitArea:
     def test_s27_area(self, s27):
         assert circuit_area_units(s27) == 51
-
-    def test_area_in_dff(self):
-        assert area_in_dff(51) == pytest.approx(5.1)
-
-    def test_breakdown_sums_to_total(self, s27):
-        b = area_breakdown(s27)
-        assert b.total_units == 51
-        assert b.dff_units == 30
-        assert b.inverter_units == 2
-        assert b.gate_units == 19
-        assert b.combinational_units == 21
-
-    def test_breakdown_empty_comb(self):
-        nl = Netlist("regs")
-        nl.add_input("a")
-        nl.add_dff("q", "a")
-        nl.add_output("q")
-        b = area_breakdown(nl)
-        assert b.total_units == b.dff_units == 10
-        assert b.combinational_units == 0

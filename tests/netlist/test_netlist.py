@@ -159,11 +159,6 @@ class TestStats:
         # + 4 NOR (8) = 51
         assert s27.stats().area_units == 51
 
-    def test_as_row_shape(self, s27):
-        row = s27.stats().as_row()
-        assert row[0] == "s27"
-        assert len(row) == 6
-
     def test_copy_is_independent(self, toy):
         dup = toy.copy()
         dup.add_gate("extra", GateType.NOT, ["a"])

@@ -1,17 +1,8 @@
-"""Structural netlist edits used by retiming."""
+"""Fresh signal names for structural netlist edits."""
 
 import pytest
 
-from repro.errors import NetlistError
-from repro.netlist import (
-    GateType,
-    Netlist,
-    bypass_dff,
-    count_dffs_between,
-    fresh_signal_name,
-    insert_dff_on_net,
-    retarget_readers,
-)
+from repro.netlist import GateType, Netlist, fresh_signal_name
 
 
 @pytest.fixture
@@ -32,84 +23,3 @@ class TestFreshNames:
 
     def test_collision_suffixed(self, chain):
         assert fresh_signal_name(chain, "g1") == "g1_1"
-
-
-class TestRetarget:
-    def test_retarget_all_readers(self, chain):
-        chain.add_gate("alt", GateType.BUF, ["a"])
-        n = retarget_readers(chain, "g1", "alt")
-        assert n == 2
-        assert chain.cell("g2").inputs == ("alt",)
-        assert "alt" in chain.cell("g3").inputs
-
-    def test_retarget_subset(self, chain):
-        chain.add_gate("alt", GateType.BUF, ["a"])
-        n = retarget_readers(chain, "g1", "alt", only_cells={"g2"})
-        assert n == 1
-        assert chain.cell("g3").inputs[0] == "g1"
-
-    def test_unknown_target_rejected(self, chain):
-        with pytest.raises(NetlistError):
-            retarget_readers(chain, "g1", "ghost")
-
-
-class TestInsertDFF:
-    def test_insert_moves_readers(self, chain):
-        reg = insert_dff_on_net(chain, "g1")
-        assert chain.cell(reg).is_dff
-        assert chain.cell("g2").inputs == (reg,)
-        chain.validate()
-
-    def test_insert_partial(self, chain):
-        reg = insert_dff_on_net(chain, "g1", only_cells={"g3"})
-        assert chain.cell("g2").inputs == ("g1",)
-        assert reg in chain.cell("g3").inputs
-
-    def test_insert_on_output_net(self, chain):
-        reg = insert_dff_on_net(chain, "g3", retarget_outputs=True)
-        assert reg in chain.outputs
-        assert "g3" not in chain.outputs
-        chain.validate()
-
-    def test_insert_on_unknown_signal(self, chain):
-        with pytest.raises(NetlistError):
-            insert_dff_on_net(chain, "ghost")
-
-
-class TestBypassDFF:
-    def test_bypass_reconnects(self, pipeline):
-        src = bypass_dff(pipeline, "q1")
-        assert src == "g1"
-        assert pipeline.cell("g2").inputs[0] == "g1"
-        pipeline.validate()
-
-    def test_bypass_non_dff_rejected(self, pipeline):
-        with pytest.raises(NetlistError):
-            bypass_dff(pipeline, "g1")
-
-    def test_bypass_output_dff_moves_po(self):
-        nl = Netlist("outreg")
-        nl.add_input("a")
-        nl.add_gate("g", GateType.NOT, ["a"])
-        nl.add_dff("q", "g")
-        nl.add_output("q")
-        bypass_dff(nl, "q")
-        assert nl.outputs == ("g",)
-        nl.validate()
-
-
-class TestCountDFFs:
-    def test_counts_chain(self, pipeline):
-        insert_dff_on_net(pipeline, "g2", only_cells=set())  # dangling reg
-        assert count_dffs_between(pipeline, "q2") == 1
-
-    def test_chain_of_two(self):
-        nl = Netlist("two")
-        nl.add_input("a")
-        nl.add_dff("q1", "a")
-        nl.add_dff("q2", "q1")
-        nl.add_output("q2")
-        assert count_dffs_between(nl, "q2") == 2
-
-    def test_zero_for_gate(self, pipeline):
-        assert count_dffs_between(pipeline, "g1") == 0

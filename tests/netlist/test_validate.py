@@ -19,7 +19,7 @@ def locations(netlist, rule_id):
 
 def test_clean_circuit(s27):
     report = net_lint(s27)
-    assert report.clean
+    assert not report.diagnostics
     assert report.summary() == "0 error(s), 0 warning(s), 0 info"
 
 
@@ -32,7 +32,7 @@ def test_dangling_cell_detected():
     report = net_lint(nl)
     assert [d.location for d in report.diagnostics] == ["dead"]
     assert report.diagnostics[0].rule_id == "NET001"
-    assert not report.clean
+    assert report.diagnostics
     assert "1 warning(s)" in report.summary()
 
 

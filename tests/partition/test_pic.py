@@ -1,14 +1,10 @@
 """Formal PIC validation (Eqs. 5 and 6)."""
 
-import pytest
-
 from repro.config import MercedConfig
-from repro.errors import PartitionError
 from repro.graphs import NodeKind, SCCIndex
 from repro.partition import (
     Cluster,
     Partition,
-    assert_pic,
     check_pic,
     make_group,
     assign_cbit,
@@ -31,7 +27,6 @@ def test_merced_output_is_valid_pic(s27_graph, s27_scc):
     res = make_group(s27_graph, s27_scc, MercedConfig(lk=3, seed=7))
     merged = assign_cbit(res.partition)
     assert check_pic(merged.partition, beta=50) == []
-    assert_pic(merged.partition, beta=50)  # no raise
 
 
 def test_input_bound_violation_reported(s27_graph):
@@ -86,9 +81,3 @@ def test_scc_budget_violation_reported(ring_graph):
     idx.sccs()[0].__dict__["register_count"] = 0
     violations = check_pic(p, beta=1)
     assert any(v.kind == "scc-budget" for v in violations)
-
-
-def test_assert_pic_raises_with_summary(s27_graph):
-    p = full_partition(s27_graph, lk=2)
-    with pytest.raises(PartitionError, match="PIC violation"):
-        assert_pic(p, beta=50)

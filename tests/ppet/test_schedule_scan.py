@@ -91,23 +91,3 @@ class TestScanChain:
         chain = build_scan_chain(plan)
         assert chain.length == sum(a.width for a in plan.assignments)
         assert chain.init_cycles == chain.readout_cycles == chain.length
-
-    def test_offsets_monotone(self, s27_setup):
-        _, plan = s27_setup
-        chain = build_scan_chain(plan)
-        offsets = [chain.offset_of(a.cluster_id) for a in plan.assignments]
-        assert offsets == sorted(offsets)
-        assert offsets[0] == 0
-
-    def test_unknown_cluster_raises(self, s27_setup):
-        _, plan = s27_setup
-        chain = build_scan_chain(plan)
-        with pytest.raises(KeyError):
-            chain.offset_of(424242)
-
-    def test_shift_plan_length(self, s27_setup):
-        _, plan = s27_setup
-        chain = build_scan_chain(plan)
-        bits = chain.shift_plan({a.cluster_id: 1 for a in plan.assignments})
-        assert len(bits) == chain.length
-        assert set(bits) <= {0, 1}

@@ -8,10 +8,7 @@ from repro.cbit import insert_test_hardware
 from repro.errors import SimulationError
 from repro.faults import StuckAtFault, full_fault_list
 from repro.ppet import schedule_pipes
-from repro.ppet.structural import (
-    run_structural_pipes,
-    run_structural_selftest,
-)
+from repro.ppet.structural import run_structural_pipes
 
 
 @pytest.fixture(scope="module")
@@ -28,37 +25,6 @@ def setup():
     )
     sched = schedule_pipes(report.partition, report.plan)
     return s27, report, bist, sched
-
-
-class TestAlwaysPSAMode:
-    def test_golden_signatures_deterministic(self, setup):
-        _, _, bist, _ = setup
-        a = run_structural_selftest(bist, 32, seed_state=5)
-        b = run_structural_selftest(bist, 32, seed_state=5)
-        assert a.golden == b.golden
-
-    def test_signature_depends_on_seed(self, setup):
-        _, _, bist, _ = setup
-        a = run_structural_selftest(bist, 32, seed_state=5)
-        b = run_structural_selftest(bist, 32, seed_state=9)
-        assert a.golden != b.golden
-
-    def test_detects_most_faults(self, setup):
-        s27, _, bist, _ = setup
-        faults = full_fault_list(s27, include_inputs=False)
-        res = run_structural_selftest(
-            bist, 64, faults=faults, seed_state=0b1011011
-        )
-        assert res.coverage > 0.8
-
-    def test_validation(self, setup):
-        _, _, bist, _ = setup
-        with pytest.raises(SimulationError):
-            run_structural_selftest(bist, 0)
-        with pytest.raises(SimulationError):
-            run_structural_selftest(
-                bist, 8, faults=[StuckAtFault("ghost", 0)]
-            )
 
 
 class TestPipeMode:
@@ -90,16 +56,10 @@ class TestPipeMode:
         with pytest.raises(SimulationError, match="dual-mode"):
             run_structural_pipes(plain, sched)
 
-    def test_pipe_mode_beats_always_psa(self, setup):
-        """Pure-LFSR generation (pipes) covers at least as much as the
-        all-MISR free-running session at comparable length."""
-        s27, _, bist, sched = setup
-        faults = full_fault_list(s27, include_inputs=False)
-        pipes = run_structural_pipes(bist, sched, faults=faults)
-        free = run_structural_selftest(
-            bist, pipes.n_cycles, faults=faults, seed_state=0b1011011
-        )
-        assert pipes.coverage >= free.coverage
+    def test_unknown_fault_site_rejected(self, setup):
+        _, _, bist, sched = setup
+        with pytest.raises(SimulationError, match="ghost"):
+            run_structural_pipes(bist, sched, faults=[StuckAtFault("ghost", 0)])
 
 
 class TestDualModeNetlist:

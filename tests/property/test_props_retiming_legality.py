@@ -9,7 +9,7 @@ Two halves of the paper's legality story (Corollaries 2/3):
   produces: the solver's ρ round-trips through ``apply_retiming`` and is
   re-inferred by the verifier, while a ρ that drives any connection's
   register count negative is rejected by both the edge algebra
-  (``is_legal``) and the applier (``IllegalRetimingError``).
+  (``illegal_edges``) and the applier (``IllegalRetimingError``).
 
 Random circuits come from a ``.bench``-text strategy that allows DFF
 inputs to reference *later* gates, so — unlike the topological-order
@@ -24,7 +24,7 @@ from repro.errors import IllegalRetimingError, RetimingError
 from repro.graphs import build_circuit_graph, register_weighted_edges
 from repro.netlist import parse_bench
 from repro.retiming import apply_retiming, infer_retiming
-from repro.retiming.model import is_legal
+from repro.retiming.model import illegal_edges
 from repro.retiming.solve import solve_cut_retiming
 
 GATES = ["AND", "NAND", "OR", "NOR", "XOR"]
@@ -188,7 +188,7 @@ def test_negative_weight_rho_is_rejected_everywhere(nl):
     )
     assume(direct is not None)
     rho = {direct.tail: 1}  # w_ρ = 0 + ρ(head) − ρ(tail) = −1
-    assert not is_legal(edges, rho)
+    assert illegal_edges(edges, rho)
     try:
         apply_retiming(nl, rho)
     except IllegalRetimingError:

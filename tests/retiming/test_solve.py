@@ -87,7 +87,7 @@ class TestCutRetiming:
     def test_empty_cut_set(self, ring_graph):
         sol = solve_cut_retiming(ring_graph, [])
         assert sol.covered_cuts == set()
-        assert sol.retiming.legal()
+        sol.retiming.assert_legal()
 
     def test_s27_scc_cuts(self, s27):
         """s27 has 3 DFFs on its loops; 3 loop cuts are coverable."""

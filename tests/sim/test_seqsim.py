@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.netlist import GateType, Netlist
-from repro.sim import SequentialSimulator, random_input_sequence, sequences_equal
+from repro.sim import SequentialSimulator, random_input_sequence
 
 
 @pytest.fixture
@@ -69,13 +69,3 @@ class TestHelpers:
         a = random_input_sequence(s27, 5, seed=9)
         b = random_input_sequence(s27, 5, seed=9)
         assert a == b
-
-    def test_sequences_equal_with_skip(self):
-        a = [(0,), (1,), (1,)]
-        b = [(1,), (1,), (1,)]
-        assert not sequences_equal(a, b)
-        assert sequences_equal(a, b, skip=1)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(SimulationError):
-            sequences_equal([(1,)], [(1,), (0,)])
